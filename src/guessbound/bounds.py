@@ -12,14 +12,19 @@ a `BoundReport` whose `satisfied` flag compares the bound against an exact
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .functions import FunctionFamily, FunctionTable, agreement_matrix
+from .functions import (
+    BalancedPredicateFamily,
+    FunctionFamily,
+    FunctionTable,
+    _member_blocks,
+    agreement_matrix,
+)
 from .numerics import central_binomial_mass
 from .probability import ClassicalChannel, Distribution, dist_from_uniform
 from .quantum import StateFamily, family_distance, family_distance_mc, sampled_measurement_distance
@@ -142,22 +147,20 @@ def classical_family_distance(storage, prior: Distribution, functions: FunctionF
         zero_mass = (values == 0) @ mass  # (support, stored)
         distances = np.abs(zero_mass - stored_mass / 2).sum(axis=1)
     else:
-        distances = np.empty(len(weights))
-        for index, row in enumerate(values):
-            joint = np.zeros((r, mass.shape[1]))
-            np.add.at(joint, row, mass)
-            distances[index] = 0.5 * np.abs(joint - stored_mass / r).sum()
+        distances = np.zeros(len(weights))
+        for block in _member_blocks(len(weights), inputs + mass.shape[1]):
+            for z in range(r):
+                joint = (values[block] == z) @ mass  # Pr[f(X) = z, stored value]
+                distances[block] += np.abs(joint - stored_mass / r).sum(axis=1)
+        distances *= 0.5
     return float(weights @ distances)
 
 
 @functools.lru_cache(maxsize=None)
 def _balanced_zero_sets(n: int) -> np.ndarray:
     """Indicator matrix of the 0-preimage of every balanced predicate on n points."""
-    combos = list(itertools.combinations(range(n), n // 2))
-    mask = np.zeros((len(combos), n))
-    for index, ones in enumerate(combos):
-        mask[index, list(ones)] = 1.0
-    return 1.0 - mask
+    _, values = BalancedPredicateFamily(n).support_matrix()
+    return (values == 0).astype(float)
 
 
 def balanced_predicate_bound(q: Distribution) -> BoundReport:

@@ -5,6 +5,13 @@ convention is little-endian: bit i of the index is bit i of the string.
 Tables are dense integer arrays, which keeps exhaustive loops cheap.
 
 Families are weighted finite sets of tables with a seedable sampler.
+`FunctionFamily.support_matrix` is the one enumerator: it builds the
+``(weights, values)`` pair of the whole family once, in a vectorized
+per-family ``_enumerate``, and caches it read-only on the (immutable) family.
+``values`` holds the smallest unsigned dtype that fits the range, and
+`FunctionFamily.support` iterates the cached pair.  Kernels that consume it
+work through the members in blocks of about ``BLOCK_ELEMENTS`` temporary
+elements, so their peak memory does not grow with the family size.
 Enumeration is capped at ``ENUMERATION_CAP`` support members; beyond the cap
 every exact operation raises `EnumerationCapError` and demands explicit
 Monte Carlo with a caller-chosen sample count, never silent sampling.
@@ -25,6 +32,7 @@ from .rng import stream
 ENUMERATION_CAP = 65536
 TWO_UNIVERSAL_ATOL = 1e-12
 MAX_CHECKED_DOMAIN = 256
+BLOCK_ELEMENTS = 1 << 16
 
 
 class EnumerationCapError(ValueError):
@@ -100,12 +108,29 @@ def _bits_to_int(bits) -> np.ndarray:
     return b @ (1 << np.arange(b.shape[-1], dtype=np.int64))
 
 
+def _parity_table(num_bits: int) -> np.ndarray:
+    """table[a, x] = parity of a & x, the GF(2) inner product of two bit strings."""
+    table = np.zeros((1, 1), dtype=np.uint8)
+    for _ in range(num_bits):
+        # the new top bit adds a_top * x_top to the parity of the lower bits
+        table = np.block([[table, table], [table, table ^ 1]])
+    return table
+
+
+def _member_blocks(count: int, elements_per_member: int) -> Iterator[slice]:
+    """Consecutive slices of `count` members, about BLOCK_ELEMENTS elements each."""
+    step = max(1, BLOCK_ELEMENTS // elements_per_member)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 class FunctionFamily:
     """Weighted finite set of function tables with a seedable sampler."""
 
     kind: str = "abstract"
     domain_size: int
     range_size: int
+    _support: tuple[np.ndarray, np.ndarray] | None = None
 
     def sample(self, rng: np.random.Generator) -> FunctionTable:
         raise NotImplementedError
@@ -114,6 +139,10 @@ class FunctionFamily:
         raise NotImplementedError
 
     def params(self) -> dict:
+        raise NotImplementedError
+
+    def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and values of every member, in the family's documented order."""
         raise NotImplementedError
 
     def _check_cap(self):
@@ -125,22 +154,35 @@ class FunctionFamily:
                 "with an explicit sample count"
             )
 
-    def support(self) -> Iterator[tuple[float, FunctionTable]]:
-        """Yield (weight, table) pairs in a fixed documented order."""
-        raise NotImplementedError
-
     def support_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights and stacked table values, shape (support, domain)."""
-        self._check_cap()
-        weights = np.empty(self.support_size())
-        values = np.empty((self.support_size(), self.domain_size), dtype=np.int64)
-        for index, (weight, table) in enumerate(self.support()):
-            weights[index] = weight
-            values[index] = table.values
-        return weights, values
+        """Weights and stacked table values, shape (support, domain).
+
+        Enumerated once per family and cached; both arrays are read-only and
+        shared by every caller.  Values use the smallest unsigned dtype that
+        holds range_size - 1.
+        """
+        if self._support is None:
+            self._check_cap()
+            weights, values = self._enumerate()
+            weights = np.array(weights, dtype=float)
+            values = np.asarray(values, dtype=np.min_scalar_type(self.range_size - 1))
+            weights.flags.writeable = False
+            values.flags.writeable = False
+            self._support = (weights, values)
+        return self._support
+
+    def support(self) -> Iterator[tuple[float, FunctionTable]]:
+        """Yield (weight, table) pairs in the order of `support_matrix`."""
+        weights, values = self.support_matrix()
+        for weight, row in zip(weights, values):
+            yield float(weight), FunctionTable(row, self.range_size)
 
     def to_json(self, seed=None) -> dict:
         return {"kind": self.kind, "params": self.params(), "seed": seed}
+
+
+def _uniform_weights(size: int) -> np.ndarray:
+    return np.full(size, 1.0 / size)
 
 
 class UniformFunctionFamily(FunctionFamily):
@@ -165,25 +207,14 @@ class UniformFunctionFamily(FunctionFamily):
             rng.integers(0, self.range_size, size=self.domain_size), self.range_size
         )
 
-    def support_matrix(self):
+    def _enumerate(self):
         # table index t maps x to digit x of t written base range_size
-        self._check_cap()
         size = self.support_size()
-        indices = np.arange(size, dtype=np.int64)
-        if self.range_size == 2:
-            values = _int_to_bits(indices, self.domain_size)
-        else:
-            values = np.empty((size, self.domain_size), dtype=np.int64)
-            rest = indices
-            for x in range(self.domain_size):
-                rest, values[:, x] = np.divmod(rest, self.range_size)
-        weights = np.full(size, 1.0 / size)
-        return weights, values
-
-    def support(self):
-        weights, values = self.support_matrix()
-        for w, row in zip(weights, values):
-            yield float(w), FunctionTable(row, self.range_size)
+        values = np.empty((size, self.domain_size), dtype=np.min_scalar_type(self.range_size - 1))
+        rest = np.arange(size, dtype=np.int64)
+        for x in range(self.domain_size):
+            rest, values[:, x] = np.divmod(rest, self.range_size)
+        return _uniform_weights(size), values
 
 
 class BalancedPredicateFamily(FunctionFamily):
@@ -209,21 +240,17 @@ class BalancedPredicateFamily(FunctionFamily):
         values[ones] = 1
         return FunctionTable(values, 2)
 
-    def support(self):
-        self._check_cap()
-        weight = 1.0 / self.support_size()
-        for ones in itertools.combinations(range(self.domain_size), self.domain_size // 2):
-            values = np.zeros(self.domain_size, dtype=np.int64)
-            values[list(ones)] = 1
-            yield weight, FunctionTable(values, 2)
-
-    def support_matrix(self):
-        self._check_cap()
-        combos = list(itertools.combinations(range(self.domain_size), self.domain_size // 2))
-        values = np.zeros((len(combos), self.domain_size), dtype=np.int64)
-        for index, ones in enumerate(combos):
-            values[index, list(ones)] = 1
-        return np.full(len(combos), 1.0 / len(combos)), values
+    def _enumerate(self):
+        # member i is 1 exactly on the i-th half-size subset in lexicographic order
+        size, half = self.support_size(), self.domain_size // 2
+        ones = np.fromiter(
+            itertools.combinations(range(self.domain_size), half),
+            dtype=(np.intp, half),
+            count=size,
+        )
+        values = np.zeros((size, self.domain_size), dtype=np.uint8)
+        values[np.arange(size)[:, None], ones] = 1
+        return _uniform_weights(size), values
 
 
 class AffineFamily(FunctionFamily):
@@ -231,7 +258,8 @@ class AffineFamily(FunctionFamily):
 
     Maps input_bits-bit strings to output_bits-bit strings; a concrete
     two-universal workhorse requiring (output_bits * (input_bits + 1))
-    random bits per draw.
+    random bits per draw.  Member i has row j of A in bits
+    j*input_bits .. (j+1)*input_bits - 1 of i and b in the bits above.
     """
 
     kind = "affine-gf2"
@@ -260,14 +288,17 @@ class AffineFamily(FunctionFamily):
         offset = rng.integers(0, 2, size=self.output_bits)
         return self._table(matrix, offset)
 
-    def support(self):
-        self._check_cap()
+    def _enumerate(self):
         n, k = self.input_bits, self.output_bits
-        weight = 1.0 / self.support_size()
-        for index in range(self.support_size()):
-            matrix = _int_to_bits(index, k * n).reshape(k, n)
-            offset = _int_to_bits(index >> (k * n), k)
-            yield weight, self._table(matrix, offset)
+        size = self.support_size()
+        parity = _parity_table(n)
+        index = np.arange(size, dtype=np.int64)
+        values = np.zeros((size, self.domain_size), dtype=np.min_scalar_type(self.range_size - 1))
+        for j in range(k):
+            bits = parity[(index >> (j * n)) & (self.domain_size - 1)]
+            bits ^= ((index >> (k * n + j)) & 1).astype(np.uint8)[:, None]
+            values |= bits.astype(values.dtype, copy=False) << j
+        return _uniform_weights(size), values
 
 
 class InnerProductFamily(FunctionFamily):
@@ -295,11 +326,9 @@ class InnerProductFamily(FunctionFamily):
     def sample(self, rng) -> FunctionTable:
         return self._table(int(rng.integers(0, self.domain_size)))
 
-    def support(self):
-        self._check_cap()
-        weight = 1.0 / self.support_size()
-        for mask in range(self.support_size()):
-            yield weight, self._table(mask)
+    def _enumerate(self):
+        # member a is the mask a
+        return _uniform_weights(self.support_size()), _parity_table(self.input_bits)
 
 
 class ExplicitFamily(FunctionFamily):
@@ -340,14 +369,16 @@ class ExplicitFamily(FunctionFamily):
         index = rng.choice(len(self.tables), p=self.weights.probs)
         return self.tables[int(index)]
 
-    def support(self):
-        self._check_cap()
-        for weight, table in zip(self.weights.probs, self.tables):
-            yield float(weight), table
+    def _enumerate(self):
+        return self.weights.probs, np.stack([t.values for t in self.tables])
 
 
 class ComposedFamily(FunctionFamily):
-    """outer after inner, with the two factors drawn independently."""
+    """outer after inner, with the two factors drawn independently.
+
+    Member i_inner * outer.support_size() + i_outer is outer member i_outer
+    after inner member i_inner.
+    """
 
     kind = "composed"
 
@@ -370,11 +401,13 @@ class ComposedFamily(FunctionFamily):
         outer_table = self.outer.sample(rng)
         return inner_table.then(outer_table)
 
-    def support(self):
-        self._check_cap()
-        for w_in, inner_table in self.inner.support():
-            for w_out, outer_table in self.outer.support():
-                yield w_in * w_out, inner_table.then(outer_table)
+    def _enumerate(self):
+        inner_weights, inner_values = self.inner.support_matrix()
+        outer_weights, outer_values = self.outer.support_matrix()
+        outer_index = np.arange(len(outer_weights))[None, :, None]
+        values = outer_values[outer_index, inner_values[:, None, :]]
+        weights = np.multiply.outer(inner_weights, outer_weights)
+        return weights.ravel(), values.reshape(-1, self.domain_size)
 
 
 def compose(outer: FunctionFamily, inner: FunctionFamily) -> ComposedFamily:
@@ -383,15 +416,12 @@ def compose(outer: FunctionFamily, inner: FunctionFamily) -> ComposedFamily:
 
 
 def enumerate_predicates(domain_size: int, balanced: bool = False) -> list[FunctionTable]:
-    """All predicates (or all balanced predicates) on a domain of size <= 16."""
-    if domain_size < 1 or domain_size > 16:
-        raise EnumerationCapError(
-            f"predicate enumeration supports domains up to 16, got {domain_size}; "
-            "use sampling"
-        )
+    """All predicates (or all balanced predicates) on a domain, within ENUMERATION_CAP."""
     if balanced:
-        return [t for _, t in BalancedPredicateFamily(domain_size).support()]
-    return [t for _, t in UniformFunctionFamily(domain_size, 2).support()]
+        family = BalancedPredicateFamily(domain_size)
+    else:
+        family = UniformFunctionFamily(domain_size, 2)
+    return [t for _, t in family.support()]
 
 
 def sample_function(family: FunctionFamily, seed: int) -> FunctionTable:
@@ -400,12 +430,26 @@ def sample_function(family: FunctionFamily, seed: int) -> FunctionTable:
 
 
 def collision_matrix(family: FunctionFamily) -> np.ndarray:
-    """Exact pairwise collision probabilities Pr[f(x) = f(x')] for all x, x'."""
+    """Exact pairwise collision probabilities Pr[f(x) = f(x')] for all x, x'.
+
+    Each weight is split into a head on the grid 2^-30 and a tail below
+    half a grid step.  Heads of weights summing to 1 add up
+    exactly in any order, so only the small tails carry rounding: the result
+    is within about one rounding of the exact value, and equal to it when
+    every weight lies on the grid (any dyadic weight down to that step).
+    """
     weights, values = family.support_matrix()
-    matrix = np.zeros((family.domain_size, family.domain_size))
-    for weight, row in zip(weights, values):
-        matrix += weight * (row[:, None] == row[None, :])
-    return matrix
+    scale = 2.0**30
+    head = np.round(weights * scale) / scale
+    tail = weights - head
+    heads = np.zeros((family.domain_size, family.domain_size))
+    tails = np.zeros_like(heads)
+    for block in _member_blocks(len(weights), family.domain_size):
+        for z in range(family.range_size):
+            onehot = (values[block] == z).astype(float)
+            heads += (head[block, None] * onehot).T @ onehot
+            tails += (tail[block, None] * onehot).T @ onehot
+    return heads + tails
 
 
 def collision_probability(family: FunctionFamily, x: int, x_prime: int) -> float:

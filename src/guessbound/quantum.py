@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionFamily, FunctionTable
+from .functions import FunctionFamily, FunctionTable, _member_blocks
 from .numerics import as_hermitian, hermitian_eigensystem, trace_norm
 from .probability import Distribution
 from .rng import as_generator
@@ -285,7 +285,7 @@ def family_distance(family: StateFamily, predicates: FunctionFamily) -> float:
     if predicates.domain_size != family.domain_size:
         raise ValueError("predicate domain must match the state family")
     weights, values = predicates.support_matrix()
-    signs = 1.0 - 2.0 * values
+    signs = np.where(values == 0, 1.0, -1.0)
     weighted = family.prior.probs[:, None, None] * family.state_stack()
     operators = np.einsum("sx,xij->sij", signs, weighted)
     eigenvalues = np.linalg.eigvalsh(operators)
@@ -420,18 +420,26 @@ def sampled_measurement_distance(
     stack = family.state_stack()
     # outcome[t, x, w] = probability of outcome w measuring rho_x in basis t
     outcome = np.einsum("tdw,xde,tew->txw", np.conj(bases), stack, bases).real
+    # weighted[x, (t, w)] = P(x) * outcome[t, x, w]
+    weighted = (family.prior.probs[:, None, None] * outcome.transpose(1, 0, 2)).reshape(
+        family.domain_size, -1
+    )
     weights, values = functions.support_matrix()
     r = functions.range_size
-    prior = family.prior.probs
-    total = 0.0
-    for weight, row in zip(weights, values):
-        onehot = row[:, None] == np.arange(r)[None, :]
-        joint = np.einsum("x,xz,txw->tzw", prior, onehot, outcome)
-        joint = np.clip(joint, 0.0, None)
-        joint /= joint.sum(axis=(1, 2), keepdims=True)
-        distances = 0.5 * np.abs(joint - joint.sum(axis=1, keepdims=True) / r).sum(axis=(1, 2))
-        total += weight * distances.max()
-    return float(total)
+    best = np.empty(len(weights))
+    for block in _member_blocks(len(weights), r * weighted.shape[1]):
+        rows = values[block]
+        # joint[f, z, t, w] = Pr[f(X) = z and outcome w in basis t]
+        joint = np.empty((len(rows), r, weighted.shape[1]))
+        for z in range(r):
+            joint[:, z] = (rows == z) @ weighted
+        joint = joint.reshape(len(rows), r, len(bases), d)
+        np.clip(joint, 0.0, None, out=joint)
+        joint /= joint.sum(axis=(1, 3), keepdims=True)
+        joint -= joint.sum(axis=1, keepdims=True) / r
+        np.abs(joint, out=joint)
+        best[block] = 0.5 * joint.sum(axis=(1, 3)).max(axis=1)
+    return float(weights @ best)
 
 
 def classical_state_family(

@@ -15,6 +15,7 @@ from guessbound.bounds import (
     privacy_amplification_bound,
     privacy_amplification_experiment,
 )
+from guessbound import functions
 from guessbound.functions import (
     AffineFamily,
     BalancedPredicateFamily,
@@ -162,6 +163,49 @@ def test_classical_family_distance_matches_oracle():
         ][int(rng.integers(0, 3))]
         fast = classical_family_distance(storage, prior, family)
         slow = oracle_classical_distance(storage, prior, family)
+        assert fast == pytest.approx(slow, abs=1e-12)
+
+
+def reference_classical_family_distance(storage, prior, hashes):
+    """Per-function loop: each joint built with np.add.at, one hash at a time."""
+    if isinstance(storage, FunctionTable):
+        mass = np.zeros((storage.domain_size, storage.range_size))
+        mass[np.arange(storage.domain_size), storage.values] = prior.probs
+    else:
+        mass = prior.probs[:, None] * storage.rows
+    stored_mass = mass.sum(axis=0)
+    r = hashes.range_size
+    total = 0.0
+    for weight, table in hashes.support():
+        joint = np.zeros((r, mass.shape[1]))
+        np.add.at(joint, table.values, mass)
+        total += weight * 0.5 * np.abs(joint - stored_mass / r).sum()
+    return total
+
+
+@pytest.mark.parametrize("block_elements", [None, 97])
+@pytest.mark.parametrize(
+    "hashes, stored",
+    [
+        (AffineFamily(3, 1), 2),  # range 2
+        (AffineFamily(4, 2), 4),  # range 4
+        (UniformFunctionFamily(3, 4), 3),  # range 4, non-power-of-two storage
+        (AffineFamily(3, 3), 2),  # range 8; 4096 members, not a multiple of the block
+    ],
+)
+def test_classical_family_distance_matches_per_function_loop(
+    monkeypatch, block_elements, hashes, stored
+):
+    if block_elements is not None:
+        monkeypatch.setattr(functions, "BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(hashes.support_size())
+    domain = hashes.domain_size
+    prior = Distribution(rng.dirichlet(np.ones(domain)))
+    table = FunctionTable(rng.integers(0, stored, domain), stored)
+    channel = ClassicalChannel(rng.dirichlet(np.ones(stored), size=domain))
+    for storage in (table, channel):
+        fast = classical_family_distance(storage, prior, hashes)
+        slow = reference_classical_family_distance(storage, prior, hashes)
         assert fast == pytest.approx(slow, abs=1e-12)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from guessbound.functions import (
     FunctionTable,
     InnerProductFamily,
     UniformFunctionFamily,
+    _int_to_bits,
     agreement_coefficient,
     agreement_matrix,
     collision_matrix,
@@ -35,6 +37,146 @@ def random_two_universal_family(rng, input_bits, output_bits):
         out_perm = rng.permutation(2**output_bits)
         tables.append(FunctionTable(out_perm[t.values[perm]], t.range_size))
     return ExplicitFamily(tables)
+
+
+def reference_support(family):
+    """Per-member enumeration, one table at a time: (weights, int64 values)."""
+    if isinstance(family, UniformFunctionFamily):
+        r, size = family.range_size, family.support_size()
+        pairs = [
+            (1.0 / size, [(t // r**x) % r for x in range(family.domain_size)])
+            for t in range(size)
+        ]
+    elif isinstance(family, BalancedPredicateFamily):
+        n = family.domain_size
+        pairs = []
+        for ones in itertools.combinations(range(n), n // 2):
+            values = np.zeros(n, dtype=np.int64)
+            values[list(ones)] = 1
+            pairs.append((1.0 / family.support_size(), values))
+    elif isinstance(family, AffineFamily):
+        n, k = family.input_bits, family.output_bits
+        pairs = []
+        for index in range(family.support_size()):
+            matrix = _int_to_bits(index, k * n).reshape(k, n)
+            offset = _int_to_bits(index >> (k * n), k)
+            pairs.append((1.0 / family.support_size(), family._table(matrix, offset).values))
+    elif isinstance(family, InnerProductFamily):
+        pairs = [
+            (1.0 / family.support_size(), family._table(mask).values)
+            for mask in range(family.support_size())
+        ]
+    elif isinstance(family, ExplicitFamily):
+        pairs = [(float(w), t.values) for w, t in zip(family.weights.probs, family.tables)]
+    elif isinstance(family, ComposedFamily):
+        inner_weights, inner_values = reference_support(family.inner)
+        outer_weights, outer_values = reference_support(family.outer)
+        pairs = []
+        for w_in, inner in zip(inner_weights, inner_values):
+            for w_out, outer in zip(outer_weights, outer_values):
+                pairs.append((w_in * w_out, outer[inner]))
+    else:
+        raise TypeError(family)
+    weights, values = zip(*pairs)
+    return np.array(weights), np.array(values, dtype=np.int64)
+
+
+def _explicit_weighted():
+    tables = [FunctionTable(np.array(v), 3) for v in ([0, 1, 2, 2], [2, 2, 0, 1], [1, 0, 0, 0])]
+    return ExplicitFamily(tables, weights=[0.5, 0.125, 0.375])
+
+
+ORACLE_FAMILIES = [
+    UniformFunctionFamily(1, 1),
+    UniformFunctionFamily(4, 2),
+    UniformFunctionFamily(3, 3),
+    UniformFunctionFamily(2, 5),
+    BalancedPredicateFamily(2),
+    BalancedPredicateFamily(6),
+    BalancedPredicateFamily(16),
+    AffineFamily(1, 1),
+    AffineFamily(3, 2),
+    AffineFamily(2, 3),
+    AffineFamily(7, 2),  # 65536 members, at the enumeration cap
+    InnerProductFamily(1),
+    InnerProductFamily(5),
+    _explicit_weighted(),
+    ComposedFamily(BalancedPredicateFamily(4), AffineFamily(3, 2)),
+    ComposedFamily(AffineFamily(2, 1), UniformFunctionFamily(3, 4)),
+    ComposedFamily(
+        InnerProductFamily(2),
+        ExplicitFamily(
+            [FunctionTable(np.array([0, 3, 1, 2, 3]), 4), FunctionTable(np.array([2, 2, 1, 0, 3]), 4)]
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: f"{f.kind}-{f.support_size()}")
+def test_support_matrix_matches_per_member_enumeration(family):
+    weights, values = family.support_matrix()
+    ref_weights, ref_values = reference_support(family)
+    assert np.array_equal(weights, ref_weights)
+    assert np.array_equal(values, ref_values)
+    assert values.dtype == np.min_scalar_type(family.range_size - 1)
+    assert [(w, t) for w, t in family.support()] == [
+        (w, FunctionTable(v, family.range_size)) for w, v in zip(ref_weights, ref_values)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [f for f in ORACLE_FAMILIES if f.support_size() < 65536],
+    ids=lambda f: f"{f.kind}-{f.support_size()}",
+)
+def test_collision_matrix_matches_exact_fractions(family):
+    # exact rational collision probabilities: integer collision counts among
+    # the members of each distinct weight, times that weight as a Fraction
+    ref_weights, ref_values = reference_support(family)
+    exact = np.zeros((family.domain_size, family.domain_size), dtype=object)
+    for weight in np.unique(ref_weights):
+        members = ref_values[ref_weights == weight]
+        counts = sum(
+            (members == z).astype(np.int64).T @ (members == z).astype(np.int64)
+            for z in range(family.range_size)
+        )
+        exact += counts.astype(object) * Fraction(weight)
+    exact = exact.astype(float)
+    assert np.abs(collision_matrix(family) - exact).max() <= 1e-15
+
+
+def test_collision_matrix_at_the_cap_is_exact():
+    # AffineFamily(7, 2) is two-universal with collision probability exactly 1/4
+    matrix = collision_matrix(AffineFamily(7, 2))
+    expected = np.full((128, 128), 0.25)
+    np.fill_diagonal(expected, 1.0)
+    assert np.array_equal(matrix, expected)
+
+
+def test_support_matrix_is_cached_and_read_only():
+    for family in (AffineFamily(3, 2), BalancedPredicateFamily(6), _explicit_weighted()):
+        weights, values = family.support_matrix()
+        again = family.support_matrix()
+        assert again[0] is weights and again[1] is values
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        with pytest.raises(ValueError):
+            values[0, 0] = 0
+    explicit = _explicit_weighted()
+    explicit.support_matrix()
+    # the family's own distribution stays untouched by the cache
+    assert explicit.weights.probs[0] == 0.5
+
+
+def test_collision_matrix_is_fresh_and_writable():
+    family = BalancedPredicateFamily(4)
+    first = collision_matrix(family)
+    first[0, 1] = 7.0
+    second = collision_matrix(family)
+    assert second is not first and second.flags.writeable
+    assert second[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    report = is_two_universal(family)
+    assert report.two_universal and report.worst_pair != (0, 0)
 
 
 def test_function_table_validation():
@@ -71,6 +213,10 @@ def test_enumerate_predicates_counts():
 def test_enumeration_caps():
     with pytest.raises(EnumerationCapError):
         enumerate_predicates(17)
+    with pytest.raises(EnumerationCapError):
+        enumerate_predicates(20, balanced=True)
+    with pytest.raises(ValueError):
+        enumerate_predicates(0)
     with pytest.raises(EnumerationCapError):
         list(UniformFunctionFamily(17, 2).support())
     with pytest.raises(EnumerationCapError):

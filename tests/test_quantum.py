@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from guessbound import functions
 from guessbound.functions import (
+    AffineFamily,
     BalancedPredicateFamily,
     FunctionTable,
     UniformFunctionFamily,
@@ -27,7 +29,7 @@ from guessbound.quantum import (
     sampled_measurement_distance,
     tetrahedron_family,
 )
-from guessbound.rng import stream
+from guessbound.rng import as_generator, stream
 
 KET0 = DensityMatrix.basis_state(0, 2)
 KET1 = DensityMatrix.basis_state(1, 2)
@@ -311,3 +313,45 @@ def test_sampled_measurement_distance_is_lower_bound():
     witnessed = sampled_measurement_distance(family, predicates, trials=60, seed=14)
     assert witnessed <= exact + 1e-9
     assert witnessed >= 0.8 * exact  # random bases get close in dimension 2
+
+
+def reference_sampled_measurement_distance(family, hashes, trials, seed):
+    """Per-function loop: the best of the same bases for each hash, one at a time."""
+    rng = as_generator(seed)
+    d = family.dim
+    bases = [np.eye(d, dtype=complex)]
+    bases.extend(random_unitary(d, rng) for _ in range(trials))
+    outcome = np.einsum("tdw,xde,tew->txw", np.conj(bases), family.state_stack(), bases).real
+    r = hashes.range_size
+    total = 0.0
+    for weight, table in hashes.support():
+        onehot = table.values[:, None] == np.arange(r)[None, :]
+        joint = np.einsum("x,xz,txw->tzw", family.prior.probs, onehot, outcome)
+        joint = np.clip(joint, 0.0, None)
+        joint /= joint.sum(axis=(1, 2), keepdims=True)
+        distances = 0.5 * np.abs(joint - joint.sum(axis=1, keepdims=True) / r).sum(axis=(1, 2))
+        total += weight * distances.max()
+    return total
+
+
+@pytest.mark.parametrize("block_elements", [None, 97])
+@pytest.mark.parametrize(
+    "dim, hashes, trials",
+    [
+        (2, AffineFamily(3, 1), 10),  # range 2
+        (2, AffineFamily(4, 2), 50),  # range 4; 1024 members, not a multiple of the block
+        (4, AffineFamily(3, 3), 5),  # range 8; 4096 members, not a multiple of the block
+    ],
+)
+def test_sampled_measurement_distance_matches_per_function_loop(
+    monkeypatch, block_elements, dim, hashes, trials
+):
+    if block_elements is not None:
+        monkeypatch.setattr(functions, "BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(hashes.range_size)
+    domain = hashes.domain_size
+    states = random_state_family(dim, domain, "mixed", int(rng.integers(2**32))).states
+    family = StateFamily(Distribution(rng.dirichlet(np.ones(domain))), states)
+    fast = sampled_measurement_distance(family, hashes, trials, seed=5)
+    slow = reference_sampled_measurement_distance(family, hashes, trials, seed=5)
+    assert fast == pytest.approx(slow, abs=1e-12)
