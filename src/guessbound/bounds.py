@@ -71,8 +71,7 @@ def pairwise_overlap_bound(family: StateFamily, predicates: FunctionFamily) -> f
     if predicates.domain_size != family.domain_size:
         raise ValueError("predicate domain must match the state family")
     lam = agreement_matrix(predicates)
-    stack = family.state_stack()
-    gram = np.einsum("xij,yji->xy", stack, stack).real
+    gram = np.einsum("xij,yji->xy", family.states, family.states).real
     p = family.prior.probs
     total = float(np.einsum("x,y,xy,xy->", p, p, lam, gram))
     return 0.5 * math.sqrt(family.dim * max(total, 0.0))

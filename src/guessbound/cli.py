@@ -57,12 +57,14 @@ from .numerics import (
 )
 from .probability import ClassicalChannel, Distribution
 from .quantum import (
+    DensityMatrix,
     family_distance,
     helstrom_povm,
     helstrom_success,
     povm_success,
     random_povm_success,
     random_state_family,
+    random_unitary,
     tetrahedron_family,
 )
 from .rng import stream
@@ -103,6 +105,25 @@ DEFAULTS = {
     "helstrom-demo": {"dim": 2, "samples": 1000},
     "appendix-verify": {},
 }
+# flags every scenario takes; DEFAULTS, then --config, then flags override them
+COMMON_DEFAULTS = {"seed": 1, "exact": False, "no_timestamp": False, "format": "json"}
+
+# Every key a --config file may set (the flag names) with its type and, for
+# integers, the inclusive range; None leaves that side open.
+CONFIG_FIELDS = {
+    "n": (int, 1, None),
+    "s": (int, 0, None),
+    "k": (int, 1, None),
+    "dim": (int, 1, None),
+    "samples": (int, 1, None),
+    "seed": (int, 0, 2**64 - 1),
+    "family": (str, None, None),
+    "format": (str, None, None),
+    "out": (str, None, None),
+    "exact": (bool, None, None),
+    "no_timestamp": (bool, None, None),
+}
+FORMATS = ("json", "csv")
 
 TETRA_VALUE = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -337,8 +358,8 @@ def run_helstrom_demo(config: dict) -> list[dict]:
     for task in range(20):
         rng = stream(config["seed"], task)
         q = float(rng.random())
-        rho0 = random_state_family(dim, 1, "mixed", rng).states[0]
-        rho1 = random_state_family(dim, 1, "mixed", rng).states[0]
+        rho0 = DensityMatrix(random_state_family(dim, 1, "mixed", rng).states[0])
+        rho1 = DensityMatrix(random_state_family(dim, 1, "mixed", rng).states[0])
         optimal = helstrom_success(q, rho0, rho1)
         achieved = povm_success(q, rho0, rho1, helstrom_povm(q, rho0, rho1))
         sampled = random_povm_success(q, rho0, rho1, config["samples"], rng)
@@ -409,8 +430,7 @@ def run_appendix_verify(config: dict) -> list[dict]:
     normal_ok = True
     for _ in range(200):
         dim = int(rng.integers(1, 9))
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        u, _ = np.linalg.qr(g)
+        u = random_unitary(dim, rng)
         d = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         a = (u * d) @ u.conj().T
         check = schur_check(a)
@@ -505,10 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", help="function family kind")
         p.add_argument("--samples", type=int, help="instances / trials per task")
         p.add_argument("--seed", type=int, help="64-bit experiment seed (default 1)")
-        p.add_argument("--exact", action="store_true", help="demand exact evaluation")
-        p.add_argument("--format", choices=("json", "csv"))
+        p.add_argument("--exact", action="store_true", default=None, help="demand exact evaluation")
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", help="output path, or - for stdout")
-        p.add_argument("--no-timestamp", action="store_true", help="omit generated_at")
+        p.add_argument("--no-timestamp", action="store_true", default=None, help="omit generated_at")
         p.add_argument("--config", help="JSON file with default flag values")
 
     for name in SCENARIOS:
@@ -519,30 +539,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validate_config(config: dict) -> None:
+    """Raise ValueError naming the first unknown, mistyped or out-of-range key."""
+    for key, value in config.items():
+        if key not in CONFIG_FIELDS:
+            raise ValueError(f"unknown key {key!r} (allowed: {', '.join(CONFIG_FIELDS)})")
+        kind, low, high = CONFIG_FIELDS[key]
+        if type(value) is not kind:  # unlike isinstance, rejects bools as integers
+            raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        if (low is not None and value < low) or (high is not None and value > high):
+            upper = "" if high is None else f" and at most {high}"
+            raise ValueError(f"{key} must be at least {low}{upper}, got {value}")
+    if config["format"] not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {config['format']!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> tuple[str, dict]:
     scenario = getattr(args, "scenario", None) or args.scenario_command
-    config = dict(DEFAULTS[scenario])
+    config = {**COMMON_DEFAULTS, **DEFAULTS[scenario]}
     if args.config:
-        with open(args.config) as handle:
-            config.update(json.load(handle))
-    for key in ("n", "s", "k", "dim", "family", "samples", "seed", "out"):
-        value = getattr(args, key, None)
+        try:
+            with open(args.config) as handle:
+                loaded = json.load(handle)
+        except OSError as error:
+            raise ValueError(f"cannot read --config file: {error}") from error
+        if not isinstance(loaded, dict):
+            raise ValueError("the --config file must hold a JSON object")
+        config.update(loaded)
+    for key in CONFIG_FIELDS:
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
-    config.setdefault("seed", 1)
-    config["exact"] = bool(config.get("exact")) or args.exact
-    config["no_timestamp"] = bool(config.get("no_timestamp")) or args.no_timestamp
-    if args.format is not None:
-        config["format"] = args.format
-    config.setdefault("format", "json")
+    _validate_config(config)
     return scenario, config
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    scenario, config = resolve_config(args)
-    out = config.pop("out", None) or f"report.{config['format']}"
     try:
+        scenario, config = resolve_config(args)
+        out = config.pop("out", None) or f"report.{config['format']}"
         report = build_report(scenario, config)
     except EnumerationCapError as error:
         print(f"enumeration cap exceeded: {error}", file=sys.stderr)

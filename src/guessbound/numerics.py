@@ -21,20 +21,21 @@ NORMALITY_ATOL = 1e-10
 
 
 def as_square_matrix(matrix) -> np.ndarray:
-    """Coerce to a complex square ndarray or raise ValueError."""
+    """Coerce to a complex square ndarray, or a `(..., d, d)` stack, or raise ValueError."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def as_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate hermiticity within `atol` and return the symmetrized matrix."""
+    """Validate hermiticity within `atol` and return the symmetrized matrix (or stack)."""
     m = as_square_matrix(matrix)
-    drift = np.abs(m - m.conj().T).max()
+    adjoint = m.conj().swapaxes(-1, -2)
+    drift = np.abs(m - adjoint).max()
     if drift > atol:
         raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {drift:.3e})")
-    return (m + m.conj().T) / 2
+    return (m + adjoint) / 2
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:

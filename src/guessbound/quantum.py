@@ -1,10 +1,12 @@
 """Density matrices, optimal binary measurements, and stored-state distances.
 
-A `StateFamily` couples a prior over inputs x with one density matrix per x,
-modelling information about x kept in a d-dimensional quantum memory.  The
-binary-decision optimum (`helstrom_success`) and the induced distance of a
-predicate value from uniform (`predicate_distance`, `family_distance`) are
-evaluated exactly through the spectrum of the signed mixture operator.
+A `StateFamily` couples a prior over inputs x with one density matrix per x
+(one read-only `(domain, d, d)` array), modelling information about x kept in
+a d-dimensional quantum memory.  One routine validates that array, a single
+`DensityMatrix` and a `Povm`'s elements.  The binary-decision optimum and the
+induced distance of a predicate value from uniform are evaluated exactly
+through the spectrum of the signed mixture sum_x (-1)^{f(x)} P(x) rho_x,
+which one kernel builds for every distance entry point.
 
 Exact distances are computed for binary outputs only; for wider outputs the
 toolkit offers sampled-measurement lower bounds, clearly labelled as such.
@@ -30,6 +32,45 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _validated(matrices, unit_trace: bool) -> np.ndarray:
+    """Check a `(count, d, d)` stack at once: Hermitian (then symmetrized), unit
+    trace if `unit_trace`, PSD by one batched eigvalsh.  Returned read-only."""
+    m = as_hermitian(matrices)
+    if m.ndim != 3:
+        raise ValueError(f"expected a (count, d, d) stack, got shape {m.shape}")
+    if unit_trace:
+        traces = np.einsum("xii->x", m).real
+        worst = traces[np.abs(traces - 1.0).argmax()]
+        if abs(worst - 1.0) > TRACE_ATOL:
+            raise ValueError(f"density matrix must have unit trace, got {worst!r}")
+    smallest = np.linalg.eigvalsh(m)[:, 0].min()
+    if smallest < -PSD_ATOL:
+        element = "density matrix" if unit_trace else "POVM element"
+        raise ValueError(f"{element} has negative eigenvalue {smallest:.3e}")
+    m.flags.writeable = False
+    return m
+
+
+def _pure_states(vectors) -> np.ndarray:
+    """|psi><psi| for every row psi of `vectors`, normalized one vector at a time
+    (np.linalg.norm along an axis rounds differently, and reports must not change)."""
+    norms = np.array([np.linalg.norm(v) for v in vectors])
+    if not norms.all():
+        raise ValueError("state vector must be nonzero")
+    psi = vectors / norms[:, None]
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+def _to_json(matrices) -> list:
+    """Complex matrices as nested lists of [re, im] pairs."""
+    return np.stack((matrices.real, matrices.imag), axis=-1).tolist()
+
+
+def _from_json(blob) -> np.ndarray:
+    arr = np.asarray(blob, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace operator."""
@@ -37,14 +78,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_hermitian(self.matrix)
-        if abs(m.trace().real - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix must have unit trace, got {m.trace().real!r}")
-        smallest = np.linalg.eigvalsh(m)[0]
-        if smallest < -PSD_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        matrix = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", _validated(matrix[None], unit_trace=True)[0])
 
     @property
     def dim(self) -> int:
@@ -53,24 +88,13 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
 
-    def conjugated(self, unitary) -> "DensityMatrix":
-        u = np.asarray(unitary, dtype=complex)
-        return DensityMatrix(u @ self.matrix @ u.conj().T)
-
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
-        psi = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(psi)
-        if norm == 0:
-            raise ValueError("state vector must be nonzero")
-        psi = psi / norm
-        return cls(np.outer(psi, psi.conj()))
+        return cls(_pure_states(np.asarray(amplitudes, dtype=complex)[None])[0])
 
     @classmethod
     def basis_state(cls, index: int, dim: int) -> "DensityMatrix":
-        psi = np.zeros(dim, dtype=complex)
-        psi[index] = 1.0
-        return cls.pure(psi)
+        return cls(_pure_states(np.eye(dim, dtype=complex)[[index]])[0])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -85,59 +109,48 @@ class DensityMatrix:
         return cls(m)
 
     def to_json(self) -> list:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix]
+        return _to_json(self.matrix)
 
     @classmethod
     def from_json(cls, blob) -> "DensityMatrix":
-        arr = np.asarray(blob, dtype=float)
-        return cls(arr[..., 0] + 1j * arr[..., 1])
+        return cls(_from_json(blob))
 
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Prior over inputs together with the stored state for each input."""
+    """Prior over inputs and the stored states, one read-only `(domain, d, d)` array."""
 
     prior: Distribution
-    states: tuple
+    states: np.ndarray
 
     def __post_init__(self):
-        states = tuple(self.states)
+        states = _validated(self.states, unit_trace=True)
         if len(states) != self.prior.size:
             raise ValueError("one state per prior entry required")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise ValueError("all states must share one Hilbert dimension")
         object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[-1]
 
     @property
     def domain_size(self) -> int:
         return self.prior.size
 
-    def state_stack(self) -> np.ndarray:
-        """All states as one (domain, dim, dim) array."""
-        return np.stack([s.matrix for s in self.states])
-
-    def average_state(self) -> DensityMatrix:
-        return DensityMatrix(np.einsum("x,xij->ij", self.prior.probs, self.state_stack()))
-
     def conjugated(self, unitary) -> "StateFamily":
-        return StateFamily(self.prior, tuple(s.conjugated(unitary) for s in self.states))
+        u = np.asarray(unitary, dtype=complex)
+        return StateFamily(self.prior, u @ self.states @ u.conj().T)
 
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
             "prior": [float(p) for p in self.prior.probs],
-            "states": [s.to_json() for s in self.states],
+            "states": _to_json(self.states),
         }
 
     @classmethod
     def from_json(cls, blob) -> "StateFamily":
-        states = tuple(DensityMatrix.from_json(s) for s in blob["states"])
-        family = cls(Distribution(np.asarray(blob["prior"])), states)
+        family = cls(Distribution(np.asarray(blob["prior"])), _from_json(blob["states"]))
         if family.dim != blob["dim"]:
             raise ValueError("serialized dimension does not match the states")
         return family
@@ -145,31 +158,21 @@ class StateFamily:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite measurement: PSD elements summing to the identity."""
+    """Finite measurement: PSD elements, one read-only `(outcomes, d, d)` array, summing to I."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(as_hermitian(e) for e in self.elements)
-        if not elems:
+        if len(self.elements) == 0:
             raise ValueError("a POVM needs at least one element")
-        dims = {e.shape[0] for e in elems}
-        if len(dims) != 1:
-            raise ValueError("all POVM elements must share one dimension")
-        for e in elems:
-            smallest = np.linalg.eigvalsh(e)[0]
-            if smallest < -PSD_ATOL:
-                raise ValueError(f"POVM element has negative eigenvalue {smallest:.3e}")
-        total = sum(elems)
-        if np.abs(total - np.eye(elems[0].shape[0])).max() > POVM_SUM_ATOL:
+        elems = _validated(self.elements, unit_trace=False)
+        if np.abs(elems.sum(axis=0) - np.eye(elems.shape[-1])).max() > POVM_SUM_ATOL:
             raise ValueError("POVM elements must sum to the identity")
-        for e in elems:
-            e.flags.writeable = False
         object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -180,9 +183,7 @@ class Povm:
         return cls((e0, np.eye(e0.shape[0]) - e0))
 
     def outcome_probabilities(self, rho: DensityMatrix) -> Distribution:
-        probs = np.array(
-            [np.einsum("ij,ji->", e, rho.matrix).real for e in self.elements]
-        )
+        probs = np.einsum("kij,ji->k", self.elements, rho.matrix).real
         return Distribution(np.clip(probs, 0.0, None) / probs.sum())
 
 
@@ -227,18 +228,24 @@ def povm_success(q: float, rho0: DensityMatrix, rho1: DensityMatrix, povm: Povm)
     return float(q * p00 + (1 - q) * p11)
 
 
-def _check_predicate(family: StateFamily, predicate: FunctionTable):
-    if predicate.range_size != 2:
-        raise ValueError("predicate tables must have range 2")
-    if predicate.domain_size != family.domain_size:
+def _check_predicates(family: StateFamily, predicates):
+    if predicates.range_size != 2:
+        raise ValueError("exact distances are computed for predicates (range 2) only")
+    if predicates.domain_size != family.domain_size:
         raise ValueError("predicate domain must match the state family")
 
 
-def signed_mixture(family: StateFamily, predicate: FunctionTable) -> np.ndarray:
-    """The Hermitian operator sum_x (-1)^{f(x)} P(x) rho_x."""
-    _check_predicate(family, predicate)
-    signs = 1.0 - 2.0 * predicate.values
-    return np.einsum("x,x,xij->ij", signs, family.prior.probs, family.state_stack())
+def _mixtures(family: StateFamily, coefficients) -> np.ndarray:
+    """sum_x c(x) P(x) rho_x for every row c of `coefficients`; with c = (-1)^f,
+    the signed mixture of predicate f.  Every distance and conditional state reads it."""
+    weighted = family.prior.probs[:, None, None] * family.states
+    return np.einsum("sx,xij->sij", coefficients, weighted)
+
+
+def _predicate_distances(family: StateFamily, values) -> np.ndarray:
+    """Half the trace norm of the signed mixture of every predicate row of `values`."""
+    signs = np.where(values == 0, 1.0, -1.0)
+    return 0.5 * np.abs(np.linalg.eigvalsh(_mixtures(family, signs))).sum(axis=1)
 
 
 def predicate_distance(family: StateFamily, predicate: FunctionTable) -> float:
@@ -247,7 +254,8 @@ def predicate_distance(family: StateFamily, predicate: FunctionTable) -> float:
     Exactly half the trace norm of the signed mixture operator, which equals
     the optimal guessing advantage over 1/2.
     """
-    return 0.5 * trace_norm(signed_mixture(family, predicate))
+    _check_predicates(family, predicate)
+    return float(_predicate_distances(family, predicate.values[None])[0])
 
 
 def conditional_states(
@@ -259,18 +267,13 @@ def conditional_states(
     is 1/2 + predicate_distance.  Requires both predicate values to carry
     positive prior mass (otherwise the distance is trivially 1/2).
     """
-    _check_predicate(family, predicate)
-    stack = family.state_stack()
-    sigmas = []
-    masses = []
-    for z in (0, 1):
-        sel = family.prior.probs * (predicate.values == z)
-        mass = sel.sum()
-        if mass <= 0.0:
-            raise ValueError("predicate is constant on the prior's support")
-        masses.append(mass)
-        sigmas.append(DensityMatrix(np.einsum("x,xij->ij", sel / mass, stack)))
-    return float(masses[0]), sigmas[0], sigmas[1]
+    _check_predicates(family, predicate)
+    indicators = np.stack([predicate.values == 0, predicate.values == 1]).astype(float)
+    masses = indicators @ family.prior.probs
+    if masses.min() <= 0.0:
+        raise ValueError("predicate is constant on the prior's support")
+    sigma0, sigma1 = _mixtures(family, indicators) / masses[:, None, None]
+    return float(masses[0]), DensityMatrix(sigma0), DensityMatrix(sigma1)
 
 
 def family_distance(family: StateFamily, predicates: FunctionFamily) -> float:
@@ -280,16 +283,9 @@ def family_distance(family: StateFamily, predicates: FunctionFamily) -> float:
     averaging the per-predicate trace-norm distances with the family
     weights.
     """
-    if predicates.range_size != 2:
-        raise ValueError("exact distances are computed for predicate families only")
-    if predicates.domain_size != family.domain_size:
-        raise ValueError("predicate domain must match the state family")
+    _check_predicates(family, predicates)
     weights, values = predicates.support_matrix()
-    signs = np.where(values == 0, 1.0, -1.0)
-    weighted = family.prior.probs[:, None, None] * family.state_stack()
-    operators = np.einsum("sx,xij->sij", signs, weighted)
-    eigenvalues = np.linalg.eigvalsh(operators)
-    return float(weights @ (0.5 * np.abs(eigenvalues).sum(axis=1)))
+    return float(weights @ _predicate_distances(family, values))
 
 
 def family_distance_mc(
@@ -298,10 +294,10 @@ def family_distance_mc(
     """Monte Carlo estimate of `family_distance` with its standard error."""
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
+    _check_predicates(family, predicates)
     rng = as_generator(seed)
-    draws = np.array(
-        [predicate_distance(family, predicates.sample(rng)) for _ in range(samples)]
-    )
+    values = np.array([predicates.sample(rng).values for _ in range(samples)])
+    draws = _predicate_distances(family, values)
     return float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(samples))
 
 
@@ -315,16 +311,22 @@ def tetrahedron_family() -> StateFamily:
     vectors = np.array(
         [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
     ) / np.sqrt(3)
-    states = tuple(DensityMatrix.from_bloch(v) for v in vectors)
+    states = np.stack([DensityMatrix.from_bloch(v).matrix for v in vectors])
     return StateFamily(Distribution.uniform(4), states)
 
 
+def _haar_unitaries(gaussians) -> np.ndarray:
+    """Haar-random unitaries from a `(count, d, d)` complex Gaussian stack: QR with
+    each column of Q rotated by the phase of R's diagonal (bare QR is not Haar)."""
+    q, r = np.linalg.qr(gaussians)
+    diag = np.einsum("tii->ti", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-style random unitary from the QR decomposition of a Gaussian matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    """Haar-random unitary from the QR decomposition of a Gaussian matrix."""
+    g = rng.normal(size=(2, dim, dim))
+    return _haar_unitaries((g[0] + 1j * g[1])[None])[0]
 
 
 def random_state_family(
@@ -336,16 +338,15 @@ def random_state_family(
     if purity not in ("pure", "mixed"):
         raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
     rng = as_generator(seed)
-    states = []
-    for _ in range(domain_size):
-        if purity == "pure":
-            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            states.append(DensityMatrix.pure(psi))
-        else:
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            gram = g @ g.conj().T
-            states.append(DensityMatrix(gram / gram.trace().real))
-    return StateFamily(Distribution.uniform(domain_size), tuple(states))
+    if purity == "pure":
+        g = rng.normal(size=(domain_size, 2, dim))
+        states = _pure_states(g[:, 0] + 1j * g[:, 1])
+    else:
+        g = rng.normal(size=(domain_size, 2, dim, dim))
+        # one product per state: a stacked matmul need not round alike on every BLAS
+        grams = [m @ m.conj().T for m in g[:, 0] + 1j * g[:, 1]]
+        states = np.stack([gram / gram.trace().real for gram in grams])
+    return StateFamily(Distribution.uniform(domain_size), states)
 
 
 def random_povm_success(
@@ -363,10 +364,8 @@ def random_povm_success(
         raise ValueError("trials must be positive")
     rng = as_generator(seed)
     d = rho0.dim
-    g = rng.normal(size=(trials, d, d)) + 1j * rng.normal(size=(trials, d, d))
-    basis, r = np.linalg.qr(g)
-    diag = np.einsum("tii->ti", r)
-    basis = basis * (diag / np.abs(diag))[:, None, :]
+    g = rng.normal(size=(2, trials, d, d))
+    basis = _haar_unitaries(g[0] + 1j * g[1])
     masks = rng.integers(0, 2, size=(trials, d))
     weight0 = np.einsum("tdw,de,tew->tw", basis.conj(), rho0.matrix, basis).real
     weight1 = np.einsum("tdw,de,tew->tw", basis.conj(), rho1.matrix, basis).real
@@ -386,17 +385,19 @@ def measured_distance(family: StateFamily, table: FunctionTable, povm: Povm) -> 
         raise ValueError("table domain must match the state family")
     if povm.dim != family.dim:
         raise ValueError("measurement dimension must match the state family")
-    outcome = np.array(
-        [
-            [np.einsum("ij,ji->", e, rho.matrix).real for e in povm.elements]
-            for rho in family.states
-        ]
-    )
+    outcome = np.einsum("kij,xji->xk", povm.elements, family.states).real
     joint = np.zeros((table.range_size, len(povm)))
     np.add.at(joint, table.values, family.prior.probs[:, None] * outcome)
     joint = np.clip(joint, 0.0, None)
     joint /= joint.sum()
     return float(0.5 * np.abs(joint - joint.sum(axis=0) / table.range_size).sum())
+
+
+def _measurement_bases(dim: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """The computational basis, then `trials` Haar-random bases, as unitary columns."""
+    g = rng.normal(size=(trials, 2, dim, dim))
+    haar = _haar_unitaries(g[:, 0] + 1j * g[:, 1])
+    return np.concatenate([np.eye(dim, dtype=complex)[None], haar])
 
 
 def sampled_measurement_distance(
@@ -413,13 +414,10 @@ def sampled_measurement_distance(
         raise ValueError("function domain must match the state family")
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = as_generator(seed)
     d = family.dim
-    bases = [np.eye(d, dtype=complex)]
-    bases.extend(random_unitary(d, rng) for _ in range(trials))
-    stack = family.state_stack()
+    bases = _measurement_bases(d, trials, as_generator(seed))
     # outcome[t, x, w] = probability of outcome w measuring rho_x in basis t
-    outcome = np.einsum("tdw,xde,tew->txw", np.conj(bases), stack, bases).real
+    outcome = np.einsum("tdw,xde,tew->txw", bases.conj(), family.states, bases).real
     # weighted[x, (t, w)] = P(x) * outcome[t, x, w]
     weighted = (family.prior.probs[:, None, None] * outcome.transpose(1, 0, 2)).reshape(
         family.domain_size, -1
@@ -458,5 +456,4 @@ def classical_state_family(
         dim = storage.range_size
     if dim < storage.range_size:
         raise ValueError("dimension too small for the storage range")
-    states = tuple(DensityMatrix.basis_state(int(v), dim) for v in storage.values)
-    return StateFamily(prior, states)
+    return StateFamily(prior, _pure_states(np.eye(dim, dtype=complex)[storage.values]))

@@ -39,6 +39,7 @@ from guessbound.numerics import (
 )
 from guessbound.probability import ClassicalChannel, Distribution
 from guessbound.quantum import (
+    DensityMatrix,
     conditional_states,
     family_distance,
     helstrom_povm,
@@ -106,8 +107,8 @@ def test_03_optimal_binary_decision():
         for index in range(100):
             dim = int(rng.integers(2, 5))
             q = float(rng.random())
-            rho0 = random_state_family(dim, 1, "mixed", rng).states[0]
-            rho1 = random_state_family(dim, 1, "mixed", rng).states[0]
+            rho0 = DensityMatrix(random_state_family(dim, 1, "mixed", rng).states[0])
+            rho1 = DensityMatrix(random_state_family(dim, 1, "mixed", rng).states[0])
             optimal = helstrom_success(q, rho0, rho1)
             achieved = povm_success(q, rho0, rho1, helstrom_povm(q, rho0, rho1))
             assert abs(achieved - optimal) <= 1e-9

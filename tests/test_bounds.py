@@ -62,7 +62,7 @@ def test_pairwise_overlap_bound_identical_states():
     # for identical pure states every term cancels: the bound collapses to the
     # exact value 0 under balanced predicates
     rho = DensityMatrix.pure([1.0, 0.0])
-    family = StateFamily(Distribution.uniform(4), (rho,) * 4)
+    family = StateFamily(Distribution.uniform(4), (rho.matrix,) * 4)
     assert pairwise_overlap_bound(family, BalancedPredicateFamily(4)) == pytest.approx(0.0, abs=1e-9)
     assert family_distance(family, BalancedPredicateFamily(4)) == pytest.approx(0.0, abs=1e-12)
 
@@ -70,7 +70,7 @@ def test_pairwise_overlap_bound_identical_states():
 def test_pairwise_overlap_bound_singleton_domain():
     for dim in (1, 2, 3):
         rho = DensityMatrix.maximally_mixed(dim)
-        family = StateFamily(Distribution.uniform(1), (rho,))
+        family = StateFamily(Distribution.uniform(1), (rho.matrix,))
         predicates = UniformFunctionFamily(1, 2)
         bound = pairwise_overlap_bound(family, predicates)
         assert bound == pytest.approx(0.5 * math.sqrt(dim * rho.purity()), abs=1e-12)
@@ -326,7 +326,7 @@ def test_privacy_amplification_quantum_experiment():
     assert report.satisfied and not report.vacuous
 
     trivial = StateFamily(
-        Distribution.uniform(16), (DensityMatrix.maximally_mixed(2),) * 16
+        Distribution.uniform(16), (DensityMatrix.maximally_mixed(2).matrix,) * 16
     )
     # the affine family draws a constant function with probability 1/16, and
     # constant predicates keep distance 1/2 whatever is stored

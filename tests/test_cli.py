@@ -11,17 +11,20 @@ def run_cli(tmp_path, *argv):
     return code, out
 
 
+# small flags for every scenario
+FAST = {
+    "compex": ["--samples", "20"],
+    "classical-lower-bound": ["--n", "3"],
+    "bound-sweep": ["--samples", "4"],
+    "hashing-lemma": ["--samples", "20"],
+    "pa": ["--samples", "3"],
+    "helstrom-demo": ["--samples", "100"],
+    "appendix-verify": [],
+}
+
+
 def test_every_scenario_reports_satisfied(tmp_path):
-    fast = {
-        "compex": ["--samples", "20"],
-        "classical-lower-bound": ["--n", "3"],
-        "bound-sweep": ["--samples", "4"],
-        "hashing-lemma": ["--samples", "20"],
-        "pa": ["--samples", "3"],
-        "helstrom-demo": ["--samples", "100"],
-        "appendix-verify": [],
-    }
-    for scenario, extra in fast.items():
+    for scenario, extra in FAST.items():
         code, out = run_cli(tmp_path, scenario, "--no-timestamp", *extra)
         report = json.loads(out.read_text())
         assert code == 0, scenario
@@ -33,11 +36,12 @@ def test_every_scenario_reports_satisfied(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    args = ["pa", "--samples", "2", "--seed", "99", "--no-timestamp"]
-    _, first = run_cli(tmp_path, *args)
-    blob1 = first.read_bytes()
-    _, second = run_cli(tmp_path, *args)
-    assert blob1 == second.read_bytes()
+    for scenario, extra in FAST.items():
+        args = [scenario, "--seed", "99", "--no-timestamp", *extra]
+        _, first = run_cli(tmp_path, *args)
+        blob1 = first.read_bytes()
+        _, second = run_cli(tmp_path, *args)
+        assert blob1 == second.read_bytes(), scenario
 
     csv_args = ["bound-sweep", "--samples", "3", "--format", "csv", "--no-timestamp"]
     _, first = run_cli(tmp_path, *csv_args)
@@ -127,3 +131,42 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["scenario"] == "appendix-verify"
+
+
+def assert_rejected(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1, err
+
+
+def config_file(tmp_path, contents):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(contents))
+    return ["--config", str(path), "--out", str(tmp_path / "r.out")]
+
+
+def test_config_format_must_be_json_or_csv(tmp_path, capsys):
+    assert_rejected(capsys, ["appendix-verify", *config_file(tmp_path, {"format": "xml"})])
+    assert not (tmp_path / "r.out").exists()  # no report written in any format
+
+
+@pytest.mark.parametrize("contents", [{"n": "4"}, {"samples": True}, {"seed": 1.0}])
+def test_config_integers_reject_strings_bools_and_floats(tmp_path, capsys, contents):
+    assert_rejected(capsys, ["pa", *config_file(tmp_path, contents)])
+
+
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    assert_rejected(capsys, ["compex", *config_file(tmp_path, {"sampels": 3})])
+
+
+def test_negative_samples_exit_2(tmp_path, capsys):
+    assert_rejected(capsys, ["compex", "--samples", "-5", "--out", str(tmp_path / "r.json")])
+    assert_rejected(capsys, ["compex", *config_file(tmp_path, {"samples": -5})])
+
+
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "r.json")]
+    assert_rejected(capsys, ["compex", "--seed", "-1", *out])
+    assert_rejected(capsys, ["compex", "--seed", str(2**64), *out])
+    assert_rejected(capsys, ["compex", *config_file(tmp_path, {"seed": 2**64})])
+    assert cli.main(["compex", "--samples", "1", "--seed", str(2**64 - 1), *out]) == 0

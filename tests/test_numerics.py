@@ -92,6 +92,12 @@ def test_non_hermitian_rejected():
     # drift below tolerance is symmetrized away
     out = as_hermitian(np.array([[1.0, 1e-12], [0.0, 1.0]]))
     assert np.allclose(out, out.conj().T)
+    # a stack is checked as a whole and symmetrized matrix by matrix
+    stack = np.stack([np.eye(2), np.array([[1.0, 1e-12], [0.0, 1.0]])])
+    out = as_hermitian(stack)
+    assert out.shape == (2, 2, 2) and np.array_equal(out, out.conj().swapaxes(-1, -2))
+    with pytest.raises(ValueError):
+        as_hermitian(np.stack([np.eye(2), np.array([[0.0, 1e-8], [0.0, 0.0]])]))
 
 
 def test_trace_product_projectors():

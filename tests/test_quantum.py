@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from guessbound.numerics import trace_product
 from guessbound.probability import Distribution, JointDistribution, cond_dist_from_uniform
 from guessbound.quantum import (
     DensityMatrix,
+    _measurement_bases,
     Povm,
     StateFamily,
     classical_state_family,
@@ -45,8 +48,8 @@ def balanced_table(ones, domain=4):
 
 def random_instance(rng, dim):
     q = float(rng.random())
-    rho0 = random_state_family(dim, 1, "mixed", int(rng.integers(2**32))).states[0]
-    rho1 = random_state_family(dim, 1, "mixed", int(rng.integers(2**32))).states[0]
+    rho0 = DensityMatrix(random_state_family(dim, 1, "mixed", int(rng.integers(2**32))).states[0])
+    rho1 = DensityMatrix(random_state_family(dim, 1, "mixed", int(rng.integers(2**32))).states[0])
     return q, rho0, rho1
 
 
@@ -61,7 +64,7 @@ def test_density_matrix_validation():
 
 
 def test_density_matrix_json_round_trip():
-    rho = random_state_family(3, 1, "mixed", 5).states[0]
+    rho = DensityMatrix(random_state_family(3, 1, "mixed", 5).states[0])
     again = DensityMatrix.from_json(rho.to_json())
     assert np.abs(again.matrix - rho.matrix).max() <= 1e-12
 
@@ -71,17 +74,17 @@ def test_state_family_json_round_trip():
     blob = family.to_json()
     assert blob["dim"] == 2 and len(blob["states"]) == 4
     again = StateFamily.from_json(blob)
-    for a, b in zip(again.states, family.states):
-        assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+    assert np.abs(again.states - family.states).max() <= 1e-12
 
 
 def test_povm_validation():
     eye = np.eye(2)
-    with pytest.raises(ValueError):
-        Povm((0.5 * eye, 0.4 * eye))  # does not sum to identity
-    with pytest.raises(ValueError):
-        Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))  # not PSD
+    with pytest.raises(ValueError, match="POVM elements must sum to the identity"):
+        Povm((0.5 * eye, 0.4 * eye))
+    with pytest.raises(ValueError, match="POVM element has negative eigenvalue -5.000e-01"):
+        Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
     povm = Povm.binary_from_projector(np.diag([1.0, 0.0]))
+    assert povm.elements.shape == (2, 2, 2) and not povm.elements.flags.writeable
     out = povm.outcome_probabilities(KET0)
     assert np.allclose(out.probs, [1.0, 0.0])
 
@@ -139,7 +142,7 @@ def test_predicate_distance_constant():
 
 def test_predicate_distance_identical_states():
     rho = DensityMatrix.pure([1.0, 1j])
-    family = StateFamily(Distribution.uniform(4), (rho,) * 4)
+    family = StateFamily(Distribution.uniform(4), (rho.matrix,) * 4)
     assert predicate_distance(family, balanced_table((0, 1))) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -184,7 +187,7 @@ def test_family_distance_identical_states():
     # predicates keep positive distance regardless of storage, so the
     # uniform-all average stays strictly positive
     rho = DensityMatrix.maximally_mixed(2)
-    family = StateFamily(Distribution.uniform(4), (rho,) * 4)
+    family = StateFamily(Distribution.uniform(4), (rho.matrix,) * 4)
     assert family_distance(family, BalancedPredicateFamily(4)) == pytest.approx(0.0, abs=1e-12)
     assert family_distance(family, UniformFunctionFamily(4, 2)) == pytest.approx(0.1875, abs=1e-12)
 
@@ -211,21 +214,20 @@ def test_family_distance_mc_agrees():
 def test_tetrahedron_geometry():
     family = tetrahedron_family()
     for i in range(4):
-        assert family.states[i].purity() == pytest.approx(1.0, abs=1e-12)
+        assert DensityMatrix(family.states[i]).purity() == pytest.approx(1.0, abs=1e-12)
         for j in range(i + 1, 4):
-            overlap = trace_product(family.states[i].matrix, family.states[j].matrix)
+            overlap = trace_product(family.states[i], family.states[j])
             assert overlap == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_random_state_family_contracts():
     pure = random_state_family(3, 5, "pure", 7)
-    assert all(s.purity() == pytest.approx(1.0, abs=1e-9) for s in pure.states)
+    assert all(DensityMatrix(s).purity() == pytest.approx(1.0, abs=1e-9) for s in pure.states)
     mixed = random_state_family(2, 5, "mixed", 7)
     for s in mixed.states:
-        assert 0.5 - 1e-12 <= s.purity() <= 1.0 + 1e-12
+        assert 0.5 - 1e-12 <= DensityMatrix(s).purity() <= 1.0 + 1e-12
     again = random_state_family(3, 5, "pure", 7)
-    for a, b in zip(pure.states, again.states):
-        assert np.abs(a.matrix - b.matrix).max() == 0.0
+    assert np.array_equal(pure.states, again.states)
     with pytest.raises(ValueError):
         random_state_family(2, 2, "sorta", 0)
 
@@ -321,7 +323,7 @@ def reference_sampled_measurement_distance(family, hashes, trials, seed):
     d = family.dim
     bases = [np.eye(d, dtype=complex)]
     bases.extend(random_unitary(d, rng) for _ in range(trials))
-    outcome = np.einsum("tdw,xde,tew->txw", np.conj(bases), family.state_stack(), bases).real
+    outcome = np.einsum("tdw,xde,tew->txw", np.conj(bases), family.states, bases).real
     r = hashes.range_size
     total = 0.0
     for weight, table in hashes.support():
@@ -355,3 +357,135 @@ def test_sampled_measurement_distance_matches_per_function_loop(
     fast = sampled_measurement_distance(family, hashes, trials, seed=5)
     slow = reference_sampled_measurement_distance(family, hashes, trials, seed=5)
     assert fast == pytest.approx(slow, abs=1e-12)
+
+
+# Per-state reference builders: the arithmetic the batched builders must
+# reproduce bit for bit, each ending in the symmetrization every validated
+# state receives.
+
+
+def symmetrized(m):
+    return (m + m.conj().T) / 2
+
+
+def reference_pure_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = psi / np.linalg.norm(psi)
+    return symmetrized(np.outer(psi, psi.conj()))
+
+
+def reference_wishart_state(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    gram = g @ g.conj().T
+    return symmetrized(gram / gram.trace().real)
+
+
+def reference_basis_state(index, dim):
+    psi = np.zeros(dim, dtype=complex)
+    psi[index] = 1.0
+    psi = psi / np.linalg.norm(psi)
+    return symmetrized(np.outer(psi, psi.conj()))
+
+
+def reference_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def reference_povm_success(q, rho0, rho1, trials, seed):
+    rng = as_generator(seed)
+    d = rho0.dim
+    g = rng.normal(size=(trials, d, d)) + 1j * rng.normal(size=(trials, d, d))
+    basis, r = np.linalg.qr(g)
+    diag = np.einsum("tii->ti", r)
+    basis = basis * (diag / np.abs(diag))[:, None, :]
+    masks = rng.integers(0, 2, size=(trials, d))
+    weight0 = np.einsum("tdw,de,tew->tw", basis.conj(), rho0.matrix, basis).real
+    weight1 = np.einsum("tdw,de,tew->tw", basis.conj(), rho1.matrix, basis).real
+    successes = q * (masks * weight0).sum(axis=1) + (1 - q) * (
+        1.0 - (masks * weight1).sum(axis=1)
+    )
+    return float(max(successes.max(), q, 1 - q))
+
+
+def assert_bit_identical(actual, expected):
+    # reports serialize signed zeros, so compare the bytes as well
+    assert np.array_equal(actual, expected)
+    assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "purity, dim", [("pure", 2), ("pure", 4), ("mixed", 2), ("mixed", 3), ("mixed", 4)]
+)
+def test_random_state_family_matches_per_state_loop(purity, dim):
+    reference = reference_pure_state if purity == "pure" else reference_wishart_state
+    rng = stream(31)
+    expected = np.stack([reference(rng, dim) for _ in range(64)])
+    assert_bit_identical(random_state_family(dim, 64, purity, stream(31)).states, expected)
+
+
+def test_classical_state_family_matches_per_state_loop():
+    storage = FunctionTable(np.array([2, 0, 3, 3, 1, 0]), 4)
+    for dim in (None, 5):
+        family = classical_state_family(storage, Distribution.uniform(6), dim)
+        expected = np.stack([reference_basis_state(v, dim or 4) for v in storage.values])
+        assert_bit_identical(family.states, expected)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_measurement_bases_match_per_unitary_loop(dim):
+    rng = stream(32)
+    expected = [np.eye(dim, dtype=complex)] + [reference_unitary(rng, dim) for _ in range(25)]
+    assert_bit_identical(_measurement_bases(dim, 25, stream(32)), np.stack(expected))
+    assert_bit_identical(random_unitary(dim, stream(33)), reference_unitary(stream(33), dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_random_povm_success_matches_reference(dim):
+    rng = stream(34)
+    for index in range(10):
+        q, rho0, rho1 = random_instance(rng, dim)
+        fast = random_povm_success(q, rho0, rho1, 200, seed=stream(35, index))
+        slow = reference_povm_success(q, rho0, rho1, 200, seed=stream(35, index))
+        assert fast == slow
+
+
+@pytest.mark.parametrize("predicates", [UniformFunctionFamily(8, 2), AffineFamily(3, 1)])
+def test_family_distance_mc_matches_per_sample_loop(predicates):
+    family = random_state_family(3, 8, "mixed", 36)
+    estimate, stderr = family_distance_mc(family, predicates, 300, seed=37)
+    rng = as_generator(37)
+    draws = np.array([predicate_distance(family, predicates.sample(rng)) for _ in range(300)])
+    assert abs(estimate - draws.mean()) <= 1e-12
+    assert abs(stderr - draws.std(ddof=1) / np.sqrt(300)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "matrix is not Hermitian (max |m - m^dag| = 1.000e-01)"),
+        (np.diag([0.5, 0.6]), f"density matrix must have unit trace, got {np.float64(1.1)!r}"),
+        (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+    ],
+)
+def test_state_family_rejects_one_bad_state(bad, message):
+    states = random_state_family(2, 16, "mixed", 38).states.copy()
+    states[11] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StateFamily(Distribution.uniform(16), states)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DensityMatrix(bad)
+
+
+def test_state_family_states_are_one_read_only_array():
+    source = random_state_family(2, 8, "pure", 39).states.copy()
+    family = StateFamily(Distribution.uniform(8), source)
+    assert family.states.shape == (8, 2, 2) and family.states.dtype == complex
+    assert not family.states.flags.writeable
+    with pytest.raises(ValueError):
+        family.states[0, 0, 0] = 1.0
+    assert source.flags.writeable  # the caller's array is left alone
+    with pytest.raises(ValueError, match="one state per prior entry"):
+        StateFamily(Distribution.uniform(4), source)
