@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream(seed: int, task: int = 0) -> np.random.Generator:
     """Generator for task `task` of the experiment seeded with `seed`.
 
     The Philox key is the 128-bit word ``(task << 64) | seed``, so distinct
-    (seed, task) pairs never collide.
+    (seed, task) pairs never collide.  Both must lie in ``[0, 2**64)``;
+    anything else raises ValueError rather than aliasing another stream.
     """
-    key = (int(seed) & _MASK64) | ((int(task) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seed, task = int(seed), int(task)
+    for name, value in (("seed", seed), ("task", task)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return np.random.Generator(np.random.Philox(key=seed | (task << 64)))
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:

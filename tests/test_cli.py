@@ -170,3 +170,14 @@ def test_seed_outside_64_bits_exits_2(tmp_path, capsys):
     assert_rejected(capsys, ["compex", "--seed", str(2**64), *out])
     assert_rejected(capsys, ["compex", *config_file(tmp_path, {"seed": 2**64})])
     assert cli.main(["compex", "--samples", "1", "--seed", str(2**64 - 1), *out]) == 0
+
+
+def test_scenario_keys_a_scenario_does_not_read_exit_2(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "r.json")]
+    assert_rejected(capsys, ["compex", "--family", "bogus", "--n", "9", "--samples", "2", *out])
+    assert_rejected(capsys, ["appendix-verify", "--samples", "3", *out])
+    assert_rejected(capsys, ["helstrom-demo", *config_file(tmp_path, {"n": 3})])
+    assert_rejected(capsys, ["pa", *config_file(tmp_path, {"dim": 2})])
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.out").exists()
+    # hashing-lemma reads an optional n that has no default
+    assert cli.main(["hashing-lemma", "--n", "4", "--samples", "2", *out]) == 0

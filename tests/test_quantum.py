@@ -232,6 +232,22 @@ def test_random_state_family_contracts():
         random_state_family(2, 2, "sorta", 0)
 
 
+@pytest.mark.parametrize("seed, task", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_stream_rejects_seeds_and_tasks_outside_64_bits(seed, task):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+        stream(seed, task)
+
+
+def test_seeds_outside_64_bits_do_not_alias():
+    with pytest.raises(ValueError):
+        random_state_family(2, 4, "pure", -1)
+    top = random_state_family(2, 4, "pure", 2**64 - 1)
+    assert np.array_equal(top.states, random_state_family(2, 4, "pure", stream(2**64 - 1)).states)
+    assert not np.array_equal(top.states, random_state_family(2, 4, "pure", 0).states)
+    last = stream(2**64 - 1, 2**64 - 1).random()
+    assert last != stream(2**64 - 1, 0).random()
+
+
 def test_random_povm_success_witness():
     best = random_povm_success(0.5, KET0, KET1, 1000, seed=4)
     assert 0.99 <= best <= 1.0 + 1e-12
