@@ -14,7 +14,7 @@ from guessbound import (
     BalancedPredicateFamily,
     Distribution,
     balanced_predicate_bound,
-    collision_probability,
+    collision_matrix,
     compose,
     is_two_universal,
 )
@@ -22,7 +22,7 @@ from guessbound import (
 print("== affine GF(2) hashes h(x) = Ax xor b, 4 bits -> 2 bits ==")
 family = AffineFamily(4, 2)
 print(f"  members: {family.support_size()}, range: {family.range_size}")
-print(f"  collision probability at (3, 12): {collision_probability(family, 3, 12):.6f}")
+print(f"  collision probability at (3, 12): {collision_matrix(family)[3, 12]:.6f}")
 report = is_two_universal(family)
 print(f"  two-universal: {report.two_universal} (worst pair {report.worst_pair} "
       f"at {report.worst_probability:.6f} <= 1/{family.range_size})")

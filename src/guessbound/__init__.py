@@ -4,8 +4,8 @@ The package quantifies how much an observer holding s classical bits or s
 qubits about a string X can know about a randomly chosen predicate or hash
 of X, and verifies every bound it computes against brute-force oracles:
 
-- `probability`: distributions, channels, selectable-channel devices, and
-  distance-from-uniform measures.
+- `probability`: distributions, channels, and distance-from-uniform
+  measures.
 - `functions`: function tables, predicate/hash families, two-universality.
 - `numerics`: Hermitian spectra and exact combinatorial identities.
 - `quantum`: density matrices, optimal binary measurements, stored-state
@@ -36,12 +36,10 @@ from .functions import (
     FunctionTable,
     InnerProductFamily,
     UniformFunctionFamily,
-    agreement_coefficient,
-    collision_probability,
+    collision_matrix,
     compose,
     enumerate_predicates,
     is_two_universal,
-    sample_function,
 )
 from .numerics import (
     central_binomial_mass,
@@ -56,13 +54,9 @@ from .probability import (
     ClassicalChannel,
     Distribution,
     JointDistribution,
-    SelectableChannel,
-    combined_dist,
     cond_dist_from_uniform,
     dist_from_uniform,
     guessing_probability,
-    maximal_coupling,
-    selectable_dist,
     variational_distance,
 )
 from .quantum import (

@@ -95,6 +95,10 @@ def classical_storage_lower_bound(n: int, s: int) -> Fraction:
     a uniform n-bit string via any balanced storage function leaves exactly
     this much knowledge about a uniformly random predicate.  Decays like
     2^-(n-s)/2 / sqrt(2 pi), matching the quantum upper bound's exponent.
+
+    This is a value that s classical bits achieve, not the classical
+    optimum: at n = 2, s = 1, storage with preimage sizes (1, 3) reaches
+    5/16 against the 1/4 of balanced storage.
     """
     if not 0 <= s < n:
         raise ValueError(f"need 0 <= s < n, got n={n}, s={s}")
@@ -120,9 +124,9 @@ def classical_family_distance(storage, prior: Distribution, functions: FunctionF
     """Exact distance of f(X) from uniform given classical storage, averaged over f.
 
     `storage` is a deterministic `FunctionTable` or a stochastic
-    `ClassicalChannel` from the input alphabet to the stored value.  Since a
-    classical memory can be read in full, the combined-strategy distance
-    collapses to the plain conditional distance for every f.
+    `ClassicalChannel` from the input alphabet to the stored value.  A
+    classical memory can be read in full, so for every f this is the plain
+    conditional distance given the stored value.
     """
     if isinstance(storage, FunctionTable):
         inputs = storage.domain_size

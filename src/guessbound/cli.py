@@ -104,14 +104,14 @@ DEFAULTS = {
     "classical-lower-bound": {"n": 4},
     "bound-sweep": {"n": 3, "dim": 2, "family": "uniform-balanced", "samples": 25},
     "hashing-lemma": {"samples": 500},
-    "pa": {"n": 4, "s": 1, "k": 1, "family": "affine-gf2", "samples": 50},
+    "pa": {"n": 4, "s": 1, "k": 1, "family": "affine-gf2", "samples": 50, "exact": False},
     "helstrom-demo": {"dim": 2, "samples": 1000},
     "appendix-verify": {},
 }
 # scenario keys read without a default: hashing-lemma runs one alphabet of size n
 OPTIONAL_KEYS = {"hashing-lemma": ("n",)}
 # flags every scenario takes; DEFAULTS, then --config, then flags override them
-COMMON_DEFAULTS = {"seed": 1, "exact": False, "no_timestamp": False, "format": "json"}
+COMMON_DEFAULTS = {"seed": 1, "no_timestamp": False, "format": "json"}
 
 # Every key a --config file may set (the flag names) with its type and, for
 # integers, the inclusive range; None leaves that side open.
@@ -222,6 +222,8 @@ def run_compex(config: dict) -> list[dict]:
 
 
 def run_classical_lower_bound(config: dict) -> list[dict]:
+    if config["n"] < 2:
+        raise ValueError(f"classical-lower-bound needs n >= 2, got n={config['n']}")
     rows = []
     for n in range(2, config["n"] + 1):
         for s in range(1, n):
@@ -308,7 +310,7 @@ def run_hashing_lemma(config: dict) -> list[dict]:
 
 def run_pa(config: dict) -> list[dict]:
     n, s, k = config["n"], config["s"], config["k"]
-    if config.get("exact") and k > 1:
+    if config["exact"] and k > 1:
         raise ValueError("exact quantum evaluation needs a 1-bit key; drop --exact for k > 1")
     hashes = hash_family(config["family"], n, k)
     rows = []

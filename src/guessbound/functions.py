@@ -27,7 +27,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .probability import Distribution
-from .rng import stream
 
 ENUMERATION_CAP = 65536
 TWO_UNIVERSAL_ATOL = 1e-12
@@ -424,11 +423,6 @@ def enumerate_predicates(domain_size: int, balanced: bool = False) -> list[Funct
     return [t for _, t in family.support()]
 
 
-def sample_function(family: FunctionFamily, seed: int) -> FunctionTable:
-    """Draw one table from the family, deterministically in the seed."""
-    return family.sample(stream(seed))
-
-
 def collision_matrix(family: FunctionFamily) -> np.ndarray:
     """Exact pairwise collision probabilities Pr[f(x) = f(x')] for all x, x'.
 
@@ -450,31 +444,6 @@ def collision_matrix(family: FunctionFamily) -> np.ndarray:
             heads += (head[block, None] * onehot).T @ onehot
             tails += (tail[block, None] * onehot).T @ onehot
     return heads + tails
-
-
-def collision_probability(family: FunctionFamily, x: int, x_prime: int) -> float:
-    """Exact probability that a drawn function collides on the two inputs."""
-    if x == x_prime:
-        raise ValueError("collision probability needs two distinct inputs")
-    weights, values = family.support_matrix()
-    return float(weights @ (values[:, x] == values[:, x_prime]))
-
-
-def collision_probability_mc(
-    family: FunctionFamily, x: int, x_prime: int, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo collision probability with its standard error."""
-    if x == x_prime:
-        raise ValueError("collision probability needs two distinct inputs")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = stream(seed)
-    hits = sum(
-        1 for _ in range(samples) if (t := family.sample(rng))(x) == t(x_prime)
-    )
-    estimate = hits / samples
-    stderr = math.sqrt(max(estimate * (1 - estimate), 0.0) / samples)
-    return estimate, stderr
 
 
 class TwoUniversalReport(NamedTuple):
@@ -507,15 +476,6 @@ def is_two_universal(family: FunctionFamily) -> TwoUniversalReport:
     return TwoUniversalReport(
         worst <= threshold + TWO_UNIVERSAL_ATOL, pair, worst, threshold
     )
-
-
-def agreement_coefficient(family: FunctionFamily, x: int, x_prime: int) -> float:
-    """2 Pr[f(x) = f(x')] - 1 for a predicate family; 1 when x = x'."""
-    if family.range_size != 2:
-        raise ValueError("agreement coefficient is defined for predicate families")
-    if x == x_prime:
-        return 1.0
-    return 2.0 * collision_probability(family, x, x_prime) - 1.0
 
 
 def agreement_matrix(family: FunctionFamily) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Alphabets are index sets 0..n-1.  A `JointDistribution` stores the secret Z
 on the rows and the observer's variable on the columns; conditioning always
-happens on the column variable.  A `SelectableChannel` models a storage
-device from which the observer picks exactly one read-out channel, and the
-combined-strategy distance lets that pick depend on side information U.
+happens on the column variable.  A `ClassicalChannel` is a row-stochastic
+map; applied to the column variable (`push_joint`) it post-processes the
+observation, which never moves the secret further from uniform.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call from parallel sweeps.
@@ -85,18 +85,8 @@ class JointDistribution:
     def independent(cls, row: Distribution, col: Distribution) -> "JointDistribution":
         return cls(np.outer(row.probs, col.probs))
 
-    @classmethod
-    def from_channel(cls, row_prior: Distribution, channel: "ClassicalChannel") -> "JointDistribution":
-        """Joint of (Z, C(Z)) for Z distributed as `row_prior`."""
-        if channel.input_size != row_prior.size:
-            raise ValueError("channel input alphabet does not match the prior")
-        return cls(row_prior.probs[:, None] * channel.rows)
-
     def row_marginal(self) -> Distribution:
         return Distribution(self.probs.sum(axis=1))
-
-    def col_marginal(self) -> Distribution:
-        return Distribution(self.probs.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -122,78 +112,11 @@ class ClassicalChannel:
     def input_size(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def output_size(self) -> int:
-        return self.rows.shape[1]
-
-    @classmethod
-    def identity(cls, n: int) -> "ClassicalChannel":
-        return cls(np.eye(n))
-
-    @classmethod
-    def deterministic(cls, values, output_size: int) -> "ClassicalChannel":
-        """Channel that maps input x to output values[x] with certainty."""
-        v = np.asarray(values, dtype=int)
-        rows = np.zeros((v.size, output_size))
-        rows[np.arange(v.size), v] = 1.0
-        return cls(rows)
-
-    def apply(self, dist: Distribution) -> Distribution:
-        if dist.size != self.input_size:
-            raise ValueError("input alphabet mismatch")
-        return Distribution(dist.probs @ self.rows)
-
     def push_joint(self, joint: JointDistribution) -> JointDistribution:
         """Map a joint (Z, S) to (Z, C(S)) by acting on the column variable."""
         if joint.col_size != self.input_size:
             raise ValueError("channel input alphabet does not match the joint")
         return JointDistribution(joint.probs @ self.rows)
-
-
-@dataclass(frozen=True)
-class SelectableChannel:
-    """A storage device: a finite set of channels sharing one input alphabet."""
-
-    channels: tuple
-
-    def __post_init__(self):
-        chans = tuple(self.channels)
-        if not chans:
-            raise ValueError("selectable channel needs at least one member")
-        sizes = {c.input_size for c in chans}
-        if len(sizes) != 1:
-            raise ValueError("all member channels must share the input alphabet")
-        object.__setattr__(self, "channels", chans)
-
-    @property
-    def input_size(self) -> int:
-        return self.channels[0].input_size
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-    @classmethod
-    def classical(cls, input_size: int) -> "SelectableChannel":
-        """Full classical read-out.
-
-        The device containing every channel on the state is equivalent, for
-        every distance computed here, to the singleton identity channel:
-        post-processing never increases the distance from uniform.
-        """
-        return cls((ClassicalChannel.identity(input_size),))
-
-    @classmethod
-    def bit_readout(cls, num_bits: int) -> "SelectableChannel":
-        """Device storing `num_bits` bits of which exactly one may be read.
-
-        States are indices of {0,1}^num_bits with bit i of the index being
-        bit i of the string; member i reveals bit i.
-        """
-        states = np.arange(2**num_bits)
-        members = tuple(
-            ClassicalChannel.deterministic((states >> i) & 1, 2) for i in range(num_bits)
-        )
-        return cls(members)
 
 
 def variational_distance(p: Distribution, q: Distribution) -> float:
@@ -224,85 +147,3 @@ def guessing_probability(joint: JointDistribution) -> float:
     never larger in general.
     """
     return float(joint.probs.max(axis=0).sum())
-
-
-def maximal_coupling(joint: JointDistribution) -> tuple[ClassicalChannel, float]:
-    """Channel turning (Z, W) into a uniform row variable that tracks Z.
-
-    The returned channel takes the flattened pair index z * |W| + w and
-    outputs a variable that is exactly uniform and independent of W, while
-    agreeing with Z with the largest achievable probability
-    1 - d(Z|W), which is returned alongside.
-    """
-    p = joint.probs
-    nz, nw = p.shape
-    uniform = 1.0 / nz
-    col_mass = p.sum(axis=0)
-    rows = np.full((nz * nw, nz), uniform)
-    match = 0.0
-    for w in range(nw):
-        if col_mass[w] <= 0.0:
-            continue
-        cond = p[:, w] / col_mass[w]
-        kept = np.minimum(cond, uniform)
-        surplus = cond - kept
-        deficit = uniform - kept
-        gap = surplus.sum()
-        match += col_mass[w] * kept.sum()
-        for z in range(nz):
-            if cond[z] <= 0.0:
-                continue
-            row = np.zeros(nz)
-            row[z] = kept[z]
-            if gap > 0.0:
-                row += surplus[z] * (deficit / gap)
-            rows[z * nw + w] = row / cond[z]
-    return ClassicalChannel(rows), float(match)
-
-
-def selectable_dist(device: SelectableChannel, joint: JointDistribution) -> float:
-    """Distance of Z from uniform given the best single read-out of the device.
-
-    `joint` couples Z (rows) with the device state S (columns); the result is
-    the maximum over member channels W of d(Z | W(S)).
-    """
-    if device.input_size != joint.col_size:
-        raise ValueError("device state alphabet does not match the joint")
-    return max(cond_dist_from_uniform(c.push_joint(joint)) for c in device.channels)
-
-
-def _as_triple(probs_zsu) -> np.ndarray:
-    return _as_mass_array(probs_zsu, 3, "joint distribution over (Z, S, U)")
-
-
-def combined_strategy(device: SelectableChannel, probs_zsu) -> tuple[float, list[int]]:
-    """Combined-strategy distance and the read-out choice it makes per U value.
-
-    `probs_zsu` is the joint of (Z, S, U) with axes in that order.  For every
-    u the observer picks the member channel maximizing the conditional
-    distance of Z from uniform; ties go to the lowest channel index.  Returns
-    the expectation over U of the maximized distances together with the
-    chosen indices (0 for zero-mass u values, which contribute nothing).
-    """
-    arr = _as_triple(probs_zsu)
-    if device.input_size != arr.shape[1]:
-        raise ValueError("device state alphabet does not match the joint")
-    total = 0.0
-    choices: list[int] = []
-    for u in range(arr.shape[2]):
-        slab = arr[:, :, u]
-        mass = slab.sum()
-        if mass <= 0.0:
-            choices.append(0)
-            continue
-        joint_u = JointDistribution(slab / mass)
-        values = [cond_dist_from_uniform(c.push_joint(joint_u)) for c in device.channels]
-        best = int(np.argmax(values))
-        choices.append(best)
-        total += mass * values[best]
-    return float(total), choices
-
-
-def combined_dist(device: SelectableChannel, probs_zsu) -> float:
-    """Distance of Z from uniform given one device read-out chosen using U."""
-    return combined_strategy(device, probs_zsu)[0]

@@ -375,24 +375,6 @@ def random_povm_success(
     return float(max(successes.max(), q, 1 - q))
 
 
-def measured_distance(family: StateFamily, table: FunctionTable, povm: Povm) -> float:
-    """Distance of f(X) from uniform when the memory is read with a fixed POVM.
-
-    A lower bound on the optimally-measured distance, valid for any output
-    alphabet of f.
-    """
-    if table.domain_size != family.domain_size:
-        raise ValueError("table domain must match the state family")
-    if povm.dim != family.dim:
-        raise ValueError("measurement dimension must match the state family")
-    outcome = np.einsum("kij,xji->xk", povm.elements, family.states).real
-    joint = np.zeros((table.range_size, len(povm)))
-    np.add.at(joint, table.values, family.prior.probs[:, None] * outcome)
-    joint = np.clip(joint, 0.0, None)
-    joint /= joint.sum()
-    return float(0.5 * np.abs(joint - joint.sum(axis=0) / table.range_size).sum())
-
-
 def _measurement_bases(dim: int, trials: int, rng: np.random.Generator) -> np.ndarray:
     """The computational basis, then `trials` Haar-random bases, as unitary columns."""
     g = rng.normal(size=(trials, 2, dim, dim))

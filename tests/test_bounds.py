@@ -218,6 +218,16 @@ def test_classical_family_distance_balanced_storage_values():
         assert value == pytest.approx(float(expected), abs=1e-12)
 
 
+def test_classical_storage_lower_bound_is_achievable_not_optimal():
+    # at n = 2, s = 1 under uniform-all predicates, storage with preimage
+    # sizes (1, 3) beats the balanced storage the bound is computed for
+    prior, predicates = Distribution.uniform(4), UniformFunctionFamily(4, 2)
+    balanced = classical_family_distance(balanced_storage(2, 1), prior, predicates)
+    skewed = classical_family_distance(FunctionTable([0, 1, 1, 1], 2), prior, predicates)
+    assert balanced == float(classical_storage_lower_bound(2, 1)) == 0.25
+    assert skewed == 0.3125  # 5/16
+
+
 def test_classical_family_distance_and_storage():
     # the AND of two bits achieves the one-bit optimum 1/4 for balanced predicates
     and_table = FunctionTable(np.array([0, 0, 0, 1]), 2)

@@ -178,6 +178,21 @@ def test_scenario_keys_a_scenario_does_not_read_exit_2(tmp_path, capsys):
     assert_rejected(capsys, ["appendix-verify", "--samples", "3", *out])
     assert_rejected(capsys, ["helstrom-demo", *config_file(tmp_path, {"n": 3})])
     assert_rejected(capsys, ["pa", *config_file(tmp_path, {"dim": 2})])
+    # only pa reads exact
+    assert cli.main(["compex", "--exact", *out]) == 2
+    assert "compex does not read 'exact'" in capsys.readouterr().err
+    assert_rejected(capsys, ["bound-sweep", *config_file(tmp_path, {"exact": True})])
+    assert_rejected(capsys, ["appendix-verify", *config_file(tmp_path, {"exact": False})])
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.out").exists()
     # hashing-lemma reads an optional n that has no default
     assert cli.main(["hashing-lemma", "--n", "4", "--samples", "2", *out]) == 0
+    assert cli.main(["pa", "--exact", "--samples", "1", *out]) == 0
+
+
+def test_classical_lower_bound_needs_two_bits(tmp_path, capsys):
+    # n = 1 leaves no storage size 1 <= s < n, so nothing would be checked
+    out = tmp_path / "r.json"
+    assert_rejected(capsys, ["classical-lower-bound", "--n", "1", "--out", str(out)])
+    assert not out.exists()
+    assert cli.main(["classical-lower-bound", "--n", "2", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 1

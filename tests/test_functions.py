@@ -15,15 +15,11 @@ from guessbound.functions import (
     InnerProductFamily,
     UniformFunctionFamily,
     _int_to_bits,
-    agreement_coefficient,
     agreement_matrix,
     collision_matrix,
-    collision_probability,
-    collision_probability_mc,
     compose,
     enumerate_predicates,
     is_two_universal,
-    sample_function,
 )
 from guessbound.rng import stream
 
@@ -220,7 +216,7 @@ def test_enumeration_caps():
     with pytest.raises(EnumerationCapError):
         list(UniformFunctionFamily(17, 2).support())
     with pytest.raises(EnumerationCapError):
-        collision_probability(UniformFunctionFamily(64, 2), 0, 1)
+        collision_matrix(UniformFunctionFamily(64, 2))
 
 
 def test_support_weights_sum_to_one():
@@ -249,21 +245,21 @@ def test_sampling_determinism():
             InnerProductFamily(4),
             ComposedFamily(BalancedPredicateFamily(4), AffineFamily(3, 2)),
         ][int(rng.integers(0, 5))]
-        assert sample_function(family, seed) == sample_function(family, seed)
+        assert family.sample(stream(seed)) == family.sample(stream(seed))
 
 
 def test_sampled_balanced_predicates_are_balanced():
     family = BalancedPredicateFamily(2)
     support = [t for _, t in family.support()]
     for seed in range(20):
-        assert sample_function(family, seed) in support
+        assert family.sample(stream(seed)) in support
 
 
 def test_affine_sampling_reproducible():
     family = AffineFamily(2, 1)
-    assert sample_function(family, 123) == sample_function(family, 123)
+    assert family.sample(stream(123)) == family.sample(stream(123))
     support = [t for _, t in family.support()]
-    assert sample_function(family, 7) in support
+    assert family.sample(stream(7)) in support
 
 
 def test_uniform_sampler_frequencies():
@@ -281,35 +277,33 @@ def test_uniform_sampler_frequencies():
 
 
 def test_collision_probability_uniform_all():
-    assert collision_probability(UniformFunctionFamily(4, 2), 0, 3) == pytest.approx(0.5)
-    assert collision_probability(UniformFunctionFamily(3, 4), 1, 2) == pytest.approx(0.25)
+    assert collision_matrix(UniformFunctionFamily(4, 2))[0, 3] == pytest.approx(0.5)
+    assert collision_matrix(UniformFunctionFamily(3, 4))[1, 2] == pytest.approx(0.25)
 
 
 def test_collision_probability_affine_exact_half():
-    family = AffineFamily(3, 1)
+    matrix = collision_matrix(AffineFamily(3, 1))
     for x in range(8):
         for xp in range(x + 1, 8):
-            assert collision_probability(family, x, xp) == pytest.approx(0.5, abs=1e-15)
+            assert matrix[x, xp] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_collision_probability_balanced():
     for m in (2, 4, 6, 8, 16):
         family = BalancedPredicateFamily(m)
         expected = float(Fraction(m - 2, 2 * (m - 1)))
-        assert collision_probability(family, 0, m - 1) == pytest.approx(expected, abs=1e-12)
-
-
-def test_collision_probability_same_point_rejected():
-    with pytest.raises(ValueError):
-        collision_probability(UniformFunctionFamily(4, 2), 1, 1)
-    with pytest.raises(ValueError):
-        collision_probability_mc(UniformFunctionFamily(4, 2), 1, 1, 10, 0)
+        assert collision_matrix(family)[0, m - 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_collision_probability_mc_agrees():
+    # the balanced sampler collides at the rate the enumerated support gives
     family = BalancedPredicateFamily(8)
-    exact = collision_probability(family, 2, 5)
-    estimate, stderr = collision_probability_mc(family, 2, 5, 20_000, seed=11)
+    exact = collision_matrix(family)[2, 5]
+    rng = stream(11)
+    samples = 20_000
+    hits = sum(1 for _ in range(samples) if (t := family.sample(rng))(2) == t(5))
+    estimate = hits / samples
+    stderr = math.sqrt(estimate * (1 - estimate) / samples)
     assert stderr < 0.005
     assert abs(estimate - exact) <= 4 * stderr
 
@@ -353,7 +347,7 @@ def test_compose_deterministic_inner_collision():
         x, xp = 0, 2  # g(0) = 0, g(2) = 1 for every bits value
         assert g(x) != g(xp)
         expected = float(Fraction(size - 2, 2 * (size - 1)))
-        assert collision_probability(composed, x, xp) == pytest.approx(expected, abs=1e-12)
+        assert collision_matrix(composed)[x, xp] == pytest.approx(expected, abs=1e-12)
 
 
 def test_compose_affine_with_balanced_outer():
@@ -385,10 +379,10 @@ def test_weighted_explicit_family():
         FunctionTable(np.array([0, 1]), 2),  # never collides
     ]
     family = ExplicitFamily(tables, weights=[0.25, 0.75])
-    assert collision_probability(family, 0, 1) == pytest.approx(0.25)
+    assert collision_matrix(family)[0, 1] == pytest.approx(0.25)
     assert is_two_universal(family).two_universal
     heavy_constant = ExplicitFamily(tables, weights=[0.75, 0.25])
-    assert collision_probability(heavy_constant, 0, 1) == pytest.approx(0.75)
+    assert collision_matrix(heavy_constant)[0, 1] == pytest.approx(0.75)
     assert not is_two_universal(heavy_constant).two_universal
     counts = {0: 0, 1: 0}
     rng = stream(31)
@@ -398,12 +392,12 @@ def test_weighted_explicit_family():
 
 
 def test_agreement_coefficient_values():
-    family = BalancedPredicateFamily(4)
-    assert agreement_coefficient(family, 2, 2) == 1.0
-    assert agreement_coefficient(family, 0, 3) == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    assert agreement_coefficient(UniformFunctionFamily(4, 2), 0, 1) == pytest.approx(0.0)
+    matrix = agreement_matrix(BalancedPredicateFamily(4))
+    assert matrix[2, 2] == 1.0
+    assert matrix[0, 3] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert agreement_matrix(UniformFunctionFamily(4, 2))[0, 1] == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        agreement_coefficient(UniformFunctionFamily(3, 3), 0, 1)
+        agreement_matrix(UniformFunctionFamily(3, 3))
 
 
 def test_agreement_matrix_balanced_closed_form():

@@ -5,14 +5,9 @@ from guessbound.probability import (
     ClassicalChannel,
     Distribution,
     JointDistribution,
-    SelectableChannel,
-    combined_dist,
-    combined_strategy,
     cond_dist_from_uniform,
     dist_from_uniform,
     guessing_probability,
-    maximal_coupling,
-    selectable_dist,
     variational_distance,
 )
 
@@ -128,142 +123,6 @@ def test_guessing_probability_binary_equality():
         assert guessing_probability(joint) <= (
             1.0 / nz + cond_dist_from_uniform(joint) + 1e-12
         )
-
-
-def test_maximal_coupling_trivial_cases():
-    already_uniform = JointDistribution.independent(
-        Distribution.uniform(3), Distribution([0.2, 0.8])
-    )
-    channel, match = maximal_coupling(already_uniform)
-    assert match == pytest.approx(1.0)
-    assert channel.output_size == 3
-    for z in range(3):
-        for w in range(2):
-            assert np.allclose(channel.rows[z * 2 + w], np.eye(3)[z])  # copies Z
-
-    point = JointDistribution(np.array([[1.0], [0.0]]))
-    _, match = maximal_coupling(point)
-    assert match == pytest.approx(0.5)
-
-    skewed = JointDistribution(np.array([[0.7], [0.3]]))
-    _, match = maximal_coupling(skewed)
-    assert match == pytest.approx(0.8)
-
-
-def test_maximal_coupling_soundness():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        nz = int(rng.integers(2, 6))
-        nw = int(rng.integers(1, 5))
-        joint = random_joint(rng, nz, nw)
-        channel, match = maximal_coupling(joint)
-        assert match == pytest.approx(1.0 - cond_dist_from_uniform(joint), abs=1e-9)
-        # exhaustive evaluation of the induced joint over (W, Zbar) and the
-        # achieved agreement probability
-        p = joint.probs
-        agree = 0.0
-        induced = np.zeros((nw, nz))
-        for z in range(nz):
-            for w in range(nw):
-                row = channel.rows[z * nw + w]
-                induced[w] += p[z, w] * row
-                agree += p[z, w] * row[z]
-        col_mass = p.sum(axis=0)
-        assert np.abs(induced - np.outer(col_mass, np.full(nz, 1.0 / nz))).max() <= 1e-9
-        assert agree == pytest.approx(match, abs=1e-9)
-
-
-def test_selectable_singleton_matches_conditional():
-    rng = np.random.default_rng(5)
-    joint = random_joint(rng, 3, 4)
-    device = SelectableChannel.classical(4)
-    assert selectable_dist(device, joint) == pytest.approx(cond_dist_from_uniform(joint))
-
-
-def two_bit_joint(z_of_state):
-    # uniform two-bit state, secret determined by z_of_state
-    probs = np.zeros((2, 4))
-    for s in range(4):
-        probs[z_of_state(s), s] = 0.25
-    return JointDistribution(probs)
-
-
-def test_selectable_two_bit_device():
-    device = SelectableChannel.bit_readout(2)
-    xor = two_bit_joint(lambda s: (s & 1) ^ ((s >> 1) & 1))
-    assert selectable_dist(device, xor) == pytest.approx(0.0, abs=1e-12)
-    first_bit = two_bit_joint(lambda s: s & 1)
-    assert selectable_dist(device, first_bit) == pytest.approx(0.5)
-
-
-def test_selectable_alphabet_mismatch():
-    device = SelectableChannel.bit_readout(2)
-    with pytest.raises(ValueError):
-        selectable_dist(device, JointDistribution(np.full((2, 2), 0.25)))
-
-
-def test_combined_constant_side_information():
-    rng = np.random.default_rng(6)
-    device = SelectableChannel.bit_readout(2)
-    joint = random_joint(rng, 2, 4)
-    triple = joint.probs[:, :, None]  # U constant
-    assert combined_dist(device, triple) == pytest.approx(selectable_dist(device, joint))
-
-
-def test_combined_side_information_reveals_secret():
-    rng = np.random.default_rng(7)
-    for nz in (2, 3, 4):
-        joint = random_joint(rng, nz, 4)
-        triple = np.zeros((nz, 4, nz))
-        for z in range(nz):
-            triple[z, :, z] = joint.probs[z]
-        device = SelectableChannel.bit_readout(2)
-        assert combined_dist(device, triple) == pytest.approx(1.0 - 1.0 / nz)
-
-
-def test_combined_two_bit_device_choice():
-    # secret is bit J of the state, where J is known side information
-    triple = np.zeros((2, 4, 2))
-    for u in range(2):
-        for s in range(4):
-            z = (s >> u) & 1
-            triple[z, s, u] = 1.0 / 8.0
-    device = SelectableChannel.bit_readout(2)
-    value, choices = combined_strategy(device, triple)
-    assert value == pytest.approx(0.5)
-    assert choices == [0, 1]
-
-
-def test_combined_monotonicity():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        nz = int(rng.integers(2, 5))
-        ns = int(rng.integers(2, 5))
-        nu = int(rng.integers(1, 4))
-        triple = rng.dirichlet(np.ones(nz * ns * nu)).reshape(nz, ns, nu)
-        members = tuple(
-            random_channel(rng, ns, int(rng.integers(2, 5)))
-            for _ in range(int(rng.integers(1, 4)))
-        )
-        device = SelectableChannel(members)
-        marginal = JointDistribution(triple.sum(axis=2))
-        assert combined_dist(device, triple) >= selectable_dist(device, marginal) - 1e-12
-
-
-def test_selectable_coupling_composition():
-    # building the maximal coupling on top of the maximizing read-out achieves
-    # agreement exactly 1 - selectable_dist, the best the device allows
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        nz, ns = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        joint = random_joint(rng, nz, ns)
-        device = SelectableChannel(
-            tuple(random_channel(rng, ns, int(rng.integers(2, 5))) for _ in range(3))
-        )
-        values = [cond_dist_from_uniform(c.push_joint(joint)) for c in device.channels]
-        pushed = device.channels[int(np.argmax(values))].push_joint(joint)
-        _, match = maximal_coupling(pushed)
-        assert match == pytest.approx(1.0 - selectable_dist(device, joint), abs=1e-9)
 
 
 def test_post_processing_never_increases_distance():
