@@ -4,8 +4,7 @@ The package quantifies how much an observer holding s classical bits or s
 qubits about a string X can know about a randomly chosen predicate or hash
 of X, and verifies every bound it computes against brute-force oracles:
 
-- `probability`: distributions, channels, and distance-from-uniform
-  measures.
+- `probability`: distributions, channels, and distance from uniform.
 - `functions`: function tables, predicate/hash families, two-universality.
 - `numerics`: Hermitian spectra and exact combinatorial identities.
 - `quantum`: density matrices, optimal binary measurements, stored-state
@@ -38,7 +37,6 @@ from .functions import (
     UniformFunctionFamily,
     collision_matrix,
     compose,
-    enumerate_predicates,
     is_two_universal,
 )
 from .numerics import (
@@ -48,16 +46,11 @@ from .numerics import (
     schur_check,
     stirling_log_bounds,
     trace_norm,
-    trace_product,
 )
 from .probability import (
     ClassicalChannel,
     Distribution,
-    JointDistribution,
-    cond_dist_from_uniform,
     dist_from_uniform,
-    guessing_probability,
-    variational_distance,
 )
 from .quantum import (
     DensityMatrix,
@@ -65,7 +58,6 @@ from .quantum import (
     StateFamily,
     classical_state_family,
     family_distance,
-    family_distance_mc,
     helstrom_povm,
     helstrom_success,
     povm_success,

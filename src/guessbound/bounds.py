@@ -27,7 +27,7 @@ from .functions import (
 )
 from .numerics import central_binomial_mass
 from .probability import ClassicalChannel, Distribution, dist_from_uniform
-from .quantum import StateFamily, family_distance, family_distance_mc, sampled_measurement_distance
+from .quantum import StateFamily, family_distance, sampled_measurement_distance
 
 SATISFACTION_ATOL = 1e-9
 MAX_HASHING_ALPHABET = 16
@@ -47,17 +47,6 @@ class BoundReport:
     satisfied: bool
     context: dict = field(default_factory=dict)
     vacuous: bool = False
-    stderr: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound_value,
-            "exact": self.exact_value,
-            "satisfied": self.satisfied,
-            "vacuous": self.vacuous,
-            "stderr": self.stderr,
-            **{f"context.{k}": v for k, v in sorted(self.context.items())},
-        }
 
 
 def pairwise_overlap_bound(family: StateFamily, predicates: FunctionFamily) -> float:
@@ -224,7 +213,6 @@ def privacy_amplification_experiment(
     hash_family: FunctionFamily,
     storage_bits: int,
     prior: Distribution | None = None,
-    mc_samples: int | None = None,
     povm_trials: int = 50,
     seed: int = 0,
 ) -> BoundReport:
@@ -239,7 +227,6 @@ def privacy_amplification_experiment(
     """
     key_bits = _key_bits(hash_family)
     context: dict = {"s": storage_bits, "k": key_bits, "family": hash_family.kind}
-    stderr = None
 
     if isinstance(encoding, StateFamily):
         if encoding.dim != 2**storage_bits:
@@ -250,10 +237,7 @@ def privacy_amplification_experiment(
         context["encoding"] = "quantum"
         context["dim"] = encoding.dim
         if key_bits == 1:
-            if mc_samples is None:
-                exact = family_distance(encoding, hash_family)
-            else:
-                exact, stderr = family_distance_mc(encoding, hash_family, mc_samples, seed)
+            exact = family_distance(encoding, hash_family)
         else:
             exact = None
             context["sampled_lower_bound"] = sampled_measurement_distance(
@@ -272,9 +256,8 @@ def privacy_amplification_experiment(
     renyi = prior.renyi_entropy()
     context["n"] = renyi
     bound = privacy_amplification_bound(renyi, storage_bits, key_bits)
-    slack = SATISFACTION_ATOL + (0.0 if stderr is None else 3.0 * stderr)
     if exact is not None:
-        satisfied = exact <= bound + slack
+        satisfied = exact <= bound + SATISFACTION_ATOL
     else:
         satisfied = context["sampled_lower_bound"] <= bound + SATISFACTION_ATOL
     return BoundReport(
@@ -283,5 +266,4 @@ def privacy_amplification_experiment(
         satisfied=bool(satisfied),
         context=context,
         vacuous=bound > 1.0 - 2.0**-key_bits + SATISFACTION_ATOL,
-        stderr=stderr,
     )

@@ -93,7 +93,6 @@ CSV_COLUMNS = (
     "exact",
     "bound",
     "bound2",
-    "stderr",
     "satisfied",
     "vacuous",
     "detail",
@@ -104,7 +103,7 @@ DEFAULTS = {
     "classical-lower-bound": {"n": 4},
     "bound-sweep": {"n": 3, "dim": 2, "family": "uniform-balanced", "samples": 25},
     "hashing-lemma": {"samples": 500},
-    "pa": {"n": 4, "s": 1, "k": 1, "family": "affine-gf2", "samples": 50, "exact": False},
+    "pa": {"n": 4, "s": 1, "k": 1, "family": "affine-gf2", "samples": 50},
     "helstrom-demo": {"dim": 2, "samples": 1000},
     "appendix-verify": {},
 }
@@ -125,7 +124,6 @@ CONFIG_FIELDS = {
     "family": (str, None, None),
     "format": (str, None, None),
     "out": (str, None, None),
-    "exact": (bool, None, None),
     "no_timestamp": (bool, None, None),
 }
 FORMATS = ("json", "csv")
@@ -249,6 +247,7 @@ def run_classical_lower_bound(config: dict) -> list[dict]:
 
 def run_bound_sweep(config: dict) -> list[dict]:
     predicates = predicate_family(config["family"], config["n"])
+    predicates.check_cap()  # before building any 2^n-state family
     rows = []
     for task in range(config["samples"]):
         purity = "pure" if task % 2 == 0 else "mixed"
@@ -310,9 +309,8 @@ def run_hashing_lemma(config: dict) -> list[dict]:
 
 def run_pa(config: dict) -> list[dict]:
     n, s, k = config["n"], config["s"], config["k"]
-    if config["exact"] and k > 1:
-        raise ValueError("exact quantum evaluation needs a 1-bit key; drop --exact for k > 1")
     hashes = hash_family(config["family"], n, k)
+    hashes.check_cap()  # before building any 2^n-state encoding
     rows = []
     for task in range(config["samples"]):
         encoding = random_state_family(2**s, 2**n, "pure", stream(config["seed"], task))
@@ -331,7 +329,6 @@ def run_pa(config: dict) -> list[dict]:
             "family": config["family"],
             "exact": report.exact_value,
             "bound": report.bound_value,
-            "stderr": report.stderr,
             "satisfied": report.satisfied,
             "vacuous": report.vacuous,
             "encoding": encoding.to_json(),
@@ -659,8 +656,15 @@ def write_report(report: dict, fmt: str, out: str) -> None:
             handle.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so `main` reports them on one line with status 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="guessbound",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -675,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", help="function family kind")
         p.add_argument("--samples", type=int, help="instances / trials per task")
         p.add_argument("--seed", type=int, help="64-bit experiment seed (default 1)")
-        p.add_argument("--exact", action="store_true", default=None, help="demand exact evaluation")
         p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", help="output path, or - for stdout")
         p.add_argument("--no-timestamp", action="store_true", default=None, help="omit generated_at")
@@ -729,9 +732,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        scenario, config = resolve_config(args)
+        scenario, config = resolve_config(build_parser().parse_args(argv))
         out = config.pop("out", None) or f"report.{config['format']}"
         report = build_report(scenario, config)
     except EnumerationCapError as error:

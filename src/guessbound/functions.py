@@ -4,17 +4,16 @@ Domain and range elements are indices.  For bit-string domains the fixed
 convention is little-endian: bit i of the index is bit i of the string.
 Tables are dense integer arrays, which keeps exhaustive loops cheap.
 
-Families are weighted finite sets of tables with a seedable sampler.
+Families are weighted finite sets of tables.
 `FunctionFamily.support_matrix` is the one enumerator: it builds the
 ``(weights, values)`` pair of the whole family once, in a vectorized
 per-family ``_enumerate``, and caches it read-only on the (immutable) family.
-``values`` holds the smallest unsigned dtype that fits the range, and
-`FunctionFamily.support` iterates the cached pair.  Kernels that consume it
-work through the members in blocks of about ``BLOCK_ELEMENTS`` temporary
-elements, so their peak memory does not grow with the family size.
-Enumeration is capped at ``ENUMERATION_CAP`` support members; beyond the cap
-every exact operation raises `EnumerationCapError` and demands explicit
-Monte Carlo with a caller-chosen sample count, never silent sampling.
+``values`` holds the smallest unsigned dtype that fits the range.  Kernels
+that consume it work through the members in blocks of about
+``BLOCK_ELEMENTS`` temporary elements, so their peak memory does not grow
+with the family size.  Enumeration is capped at ``ENUMERATION_CAP`` support
+members; beyond the cap every exact operation raises `EnumerationCapError`,
+never a silent sample.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 from .probability import Distribution
 
 ENUMERATION_CAP = 65536
+_CAP_BITS = ENUMERATION_CAP.bit_length()  # 2**_CAP_BITS members are past the cap
 TWO_UNIVERSAL_ATOL = 1e-12
 MAX_CHECKED_DOMAIN = 256
 BLOCK_ELEMENTS = 1 << 16
@@ -73,38 +73,8 @@ class FunctionTable:
     def __hash__(self) -> int:
         return hash((self.range_size, self.values.tobytes()))
 
-    def preimage_sizes(self) -> np.ndarray:
-        return np.bincount(self.values, minlength=self.range_size)
-
-    def is_balanced(self) -> bool:
-        """True for a predicate whose 0- and 1-preimages have equal size."""
-        if self.range_size != 2:
-            return False
-        zeros = int((self.values == 0).sum())
-        return 2 * zeros == self.domain_size
-
-    def then(self, outer: "FunctionTable") -> "FunctionTable":
-        """Table of outer(self(x))."""
-        if outer.domain_size != self.range_size:
-            raise ValueError("outer domain must equal inner range")
-        return FunctionTable(outer.values[self.values], outer.range_size)
-
     def to_json(self) -> list[int]:
         return [int(v) for v in self.values]
-
-    @classmethod
-    def from_json(cls, values, range_size: int) -> "FunctionTable":
-        return cls(np.asarray(values, dtype=np.int64), range_size)
-
-
-def _int_to_bits(values, num_bits: int) -> np.ndarray:
-    v = np.asarray(values, dtype=np.int64)
-    return (v[..., None] >> np.arange(num_bits)) & 1
-
-
-def _bits_to_int(bits) -> np.ndarray:
-    b = np.asarray(bits, dtype=np.int64)
-    return b @ (1 << np.arange(b.shape[-1], dtype=np.int64))
 
 
 def _parity_table(num_bits: int) -> np.ndarray:
@@ -124,15 +94,12 @@ def _member_blocks(count: int, elements_per_member: int) -> Iterator[slice]:
 
 
 class FunctionFamily:
-    """Weighted finite set of function tables with a seedable sampler."""
+    """Weighted finite set of function tables."""
 
     kind: str = "abstract"
     domain_size: int
     range_size: int
     _support: tuple[np.ndarray, np.ndarray] | None = None
-
-    def sample(self, rng: np.random.Generator) -> FunctionTable:
-        raise NotImplementedError
 
     def support_size(self) -> int:
         raise NotImplementedError
@@ -144,13 +111,16 @@ class FunctionFamily:
         """Weights and values of every member, in the family's documented order."""
         raise NotImplementedError
 
-    def _check_cap(self):
-        size = self.support_size()
-        if size > ENUMERATION_CAP:
+    def _within_cap(self) -> bool:
+        """At most ENUMERATION_CAP members; overridden where the exact count can be huge."""
+        return self.support_size() <= ENUMERATION_CAP
+
+    def check_cap(self):
+        """Raise EnumerationCapError if the family has more than ENUMERATION_CAP members."""
+        if not self._within_cap():
             raise EnumerationCapError(
-                f"{self.kind} family has {size} members, beyond the exact-"
-                f"enumeration cap {ENUMERATION_CAP}; use Monte Carlo sampling "
-                "with an explicit sample count"
+                f"{self.kind} family has more than {ENUMERATION_CAP} members, "
+                "the exact-enumeration cap"
             )
 
     def support_matrix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +131,7 @@ class FunctionFamily:
         holds range_size - 1.
         """
         if self._support is None:
-            self._check_cap()
+            self.check_cap()
             weights, values = self._enumerate()
             weights = np.array(weights, dtype=float)
             values = np.asarray(values, dtype=np.min_scalar_type(self.range_size - 1))
@@ -169,12 +139,6 @@ class FunctionFamily:
             values.flags.writeable = False
             self._support = (weights, values)
         return self._support
-
-    def support(self) -> Iterator[tuple[float, FunctionTable]]:
-        """Yield (weight, table) pairs in the order of `support_matrix`."""
-        weights, values = self.support_matrix()
-        for weight, row in zip(weights, values):
-            yield float(weight), FunctionTable(row, self.range_size)
 
     def to_json(self, seed=None) -> dict:
         return {"kind": self.kind, "params": self.params(), "seed": seed}
@@ -201,10 +165,9 @@ class UniformFunctionFamily(FunctionFamily):
     def support_size(self) -> int:
         return self.range_size**self.domain_size
 
-    def sample(self, rng) -> FunctionTable:
-        return FunctionTable(
-            rng.integers(0, self.range_size, size=self.domain_size), self.range_size
-        )
+    def _within_cap(self) -> bool:
+        # with two or more values, _CAP_BITS points already give 2**_CAP_BITS members
+        return self.range_size ** min(self.domain_size, _CAP_BITS) <= ENUMERATION_CAP
 
     def _enumerate(self):
         # table index t maps x to digit x of t written base range_size
@@ -233,11 +196,9 @@ class BalancedPredicateFamily(FunctionFamily):
     def support_size(self) -> int:
         return math.comb(self.domain_size, self.domain_size // 2)
 
-    def sample(self, rng) -> FunctionTable:
-        values = np.zeros(self.domain_size, dtype=np.int64)
-        ones = rng.permutation(self.domain_size)[: self.domain_size // 2]
-        values[ones] = 1
-        return FunctionTable(values, 2)
+    def _within_cap(self) -> bool:
+        # C(2m, m) >= 2**m, so half a domain of _CAP_BITS points is past the cap
+        return self.domain_size // 2 < _CAP_BITS and self.support_size() <= ENUMERATION_CAP
 
     def _enumerate(self):
         # member i is 1 exactly on the i-th half-size subset in lexicographic order
@@ -277,16 +238,6 @@ class AffineFamily(FunctionFamily):
     def support_size(self) -> int:
         return 2 ** (self.output_bits * (self.input_bits + 1))
 
-    def _table(self, matrix: np.ndarray, offset: np.ndarray) -> FunctionTable:
-        x_bits = _int_to_bits(np.arange(self.domain_size), self.input_bits)
-        out_bits = (x_bits @ matrix.T + offset) % 2
-        return FunctionTable(_bits_to_int(out_bits), self.range_size)
-
-    def sample(self, rng) -> FunctionTable:
-        matrix = rng.integers(0, 2, size=(self.output_bits, self.input_bits))
-        offset = rng.integers(0, 2, size=self.output_bits)
-        return self._table(matrix, offset)
-
     def _enumerate(self):
         n, k = self.input_bits, self.output_bits
         size = self.support_size()
@@ -317,13 +268,6 @@ class InnerProductFamily(FunctionFamily):
 
     def support_size(self) -> int:
         return 2**self.input_bits
-
-    def _table(self, mask: int) -> FunctionTable:
-        bits = _int_to_bits(np.arange(self.domain_size) & mask, self.input_bits)
-        return FunctionTable(bits.sum(axis=1) % 2, 2)
-
-    def sample(self, rng) -> FunctionTable:
-        return self._table(int(rng.integers(0, self.domain_size)))
 
     def _enumerate(self):
         # member a is the mask a
@@ -364,10 +308,6 @@ class ExplicitFamily(FunctionFamily):
     def support_size(self) -> int:
         return len(self.tables)
 
-    def sample(self, rng) -> FunctionTable:
-        index = rng.choice(len(self.tables), p=self.weights.probs)
-        return self.tables[int(index)]
-
     def _enumerate(self):
         return self.weights.probs, np.stack([t.values for t in self.tables])
 
@@ -395,11 +335,6 @@ class ComposedFamily(FunctionFamily):
     def support_size(self) -> int:
         return self.outer.support_size() * self.inner.support_size()
 
-    def sample(self, rng) -> FunctionTable:
-        inner_table = self.inner.sample(rng)
-        outer_table = self.outer.sample(rng)
-        return inner_table.then(outer_table)
-
     def _enumerate(self):
         inner_weights, inner_values = self.inner.support_matrix()
         outer_weights, outer_values = self.outer.support_matrix()
@@ -412,15 +347,6 @@ class ComposedFamily(FunctionFamily):
 def compose(outer: FunctionFamily, inner: FunctionFamily) -> ComposedFamily:
     """Family of outer(inner(x)) with independent draws of the two factors."""
     return ComposedFamily(outer, inner)
-
-
-def enumerate_predicates(domain_size: int, balanced: bool = False) -> list[FunctionTable]:
-    """All predicates (or all balanced predicates) on a domain, within ENUMERATION_CAP."""
-    if balanced:
-        family = BalancedPredicateFamily(domain_size)
-    else:
-        family = UniformFunctionFamily(domain_size, 2)
-    return [t for _, t in family.support()]
 
 
 def collision_matrix(family: FunctionFamily) -> np.ndarray:

@@ -3,8 +3,8 @@
 The linear-algebra half validates its inputs (hermiticity within
 ``HERMITIAN_ATOL``, then symmetrization to kill float drift) and exposes the
 spectral quantities the rest of the package is built on: eigenvalues, trace
-products, trace norms, and the eigenvalue/Gram comparison behind Schur's
-inequality.  The combinatorial half works in exact rational arithmetic
+norms, and the eigenvalue/Gram comparison behind Schur's inequality.  The
+combinatorial half works in exact rational arithmetic
 (`fractions.Fraction`) with log-space factorials where overflow threatens.
 """
 
@@ -51,15 +51,6 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """
     w, v = np.linalg.eigh(as_hermitian(matrix))
     return w, v
-
-
-def trace_product(a, b) -> float:
-    """tr(a b) for equal-dimension Hermitian a, b; the result is real."""
-    ah = as_hermitian(a)
-    bh = as_hermitian(b)
-    if ah.shape != bh.shape:
-        raise ValueError(f"dimension mismatch: {ah.shape[0]} vs {bh.shape[0]}")
-    return float(np.einsum("ij,ji->", ah, bh).real)
 
 
 def trace_norm(matrix) -> float:

@@ -85,9 +85,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
         return cls(_pure_states(np.asarray(amplitudes, dtype=complex)[None])[0])
@@ -95,10 +92,6 @@ class DensityMatrix:
     @classmethod
     def basis_state(cls, index: int, dim: int) -> "DensityMatrix":
         return cls(_pure_states(np.eye(dim, dtype=complex)[[index]])[0])
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
     def from_bloch(cls, vector) -> "DensityMatrix":
@@ -136,10 +129,6 @@ class StateFamily:
     @property
     def domain_size(self) -> int:
         return self.prior.size
-
-    def conjugated(self, unitary) -> "StateFamily":
-        u = np.asarray(unitary, dtype=complex)
-        return StateFamily(self.prior, u @ self.states @ u.conj().T)
 
     def to_json(self) -> dict:
         return {
@@ -181,10 +170,6 @@ class Povm:
     def binary_from_projector(cls, element) -> "Povm":
         e0 = as_hermitian(element)
         return cls((e0, np.eye(e0.shape[0]) - e0))
-
-    def outcome_probabilities(self, rho: DensityMatrix) -> Distribution:
-        probs = np.einsum("kij,ji->k", self.elements, rho.matrix).real
-        return Distribution(np.clip(probs, 0.0, None) / probs.sum())
 
 
 def _check_binary_instance(q: float, rho0: DensityMatrix, rho1: DensityMatrix):
@@ -237,7 +222,7 @@ def _check_predicates(family: StateFamily, predicates):
 
 def _mixtures(family: StateFamily, coefficients) -> np.ndarray:
     """sum_x c(x) P(x) rho_x for every row c of `coefficients`; with c = (-1)^f,
-    the signed mixture of predicate f.  Every distance and conditional state reads it."""
+    the signed mixture of predicate f.  Every exact distance reads it."""
     weighted = family.prior.probs[:, None, None] * family.states
     return np.einsum("sx,xij->sij", coefficients, weighted)
 
@@ -258,24 +243,6 @@ def predicate_distance(family: StateFamily, predicate: FunctionTable) -> float:
     return float(_predicate_distances(family, predicate.values[None])[0])
 
 
-def conditional_states(
-    family: StateFamily, predicate: FunctionTable
-) -> tuple[float, DensityMatrix, DensityMatrix]:
-    """Prior weight of f(X)=0 and the stored states conditioned on f(X)=z.
-
-    Rebuilds the binary decision instance whose optimal success probability
-    is 1/2 + predicate_distance.  Requires both predicate values to carry
-    positive prior mass (otherwise the distance is trivially 1/2).
-    """
-    _check_predicates(family, predicate)
-    indicators = np.stack([predicate.values == 0, predicate.values == 1]).astype(float)
-    masses = indicators @ family.prior.probs
-    if masses.min() <= 0.0:
-        raise ValueError("predicate is constant on the prior's support")
-    sigma0, sigma1 = _mixtures(family, indicators) / masses[:, None, None]
-    return float(masses[0]), DensityMatrix(sigma0), DensityMatrix(sigma1)
-
-
 def family_distance(family: StateFamily, predicates: FunctionFamily) -> float:
     """Expected predicate distance over an enumerable predicate family.
 
@@ -286,19 +253,6 @@ def family_distance(family: StateFamily, predicates: FunctionFamily) -> float:
     _check_predicates(family, predicates)
     weights, values = predicates.support_matrix()
     return float(weights @ _predicate_distances(family, values))
-
-
-def family_distance_mc(
-    family: StateFamily, predicates: FunctionFamily, samples: int, seed
-) -> tuple[float, float]:
-    """Monte Carlo estimate of `family_distance` with its standard error."""
-    if samples < 2:
-        raise ValueError("need at least two samples for a standard error")
-    _check_predicates(family, predicates)
-    rng = as_generator(seed)
-    values = np.array([predicates.sample(rng).values for _ in range(samples)])
-    draws = _predicate_distances(family, values)
-    return float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(samples))
 
 
 def tetrahedron_family() -> StateFamily:

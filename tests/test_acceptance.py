@@ -40,7 +40,6 @@ from guessbound.numerics import (
 from guessbound.probability import ClassicalChannel, Distribution
 from guessbound.quantum import (
     DensityMatrix,
-    conditional_states,
     family_distance,
     helstrom_povm,
     helstrom_success,
@@ -51,6 +50,7 @@ from guessbound.quantum import (
     tetrahedron_family,
 )
 from guessbound.rng import stream
+from oracles import conditional_states, support
 
 TETRA_VALUE = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -196,7 +196,7 @@ def test_08_composition_preserves_two_universality():
                 base = AffineFamily(input_bits, output_bits)
                 perm = rng.permutation(2**input_bits)
                 tables = []
-                for _, t in base.support():
+                for _, t in support(base):
                     out_perm = rng.permutation(2**output_bits)
                     tables.append(FunctionTable(out_perm[t.values[perm]], t.range_size))
                 inner = ExplicitFamily(tables)

@@ -96,16 +96,27 @@ def test_pa_rows_include_serialized_encodings(tmp_path):
     assert len(encoding["states"][0][0][0]) == 2  # [re, im] pairs
 
 
-def test_unknown_scenario_exits_2():
+def test_unknown_scenario_exits_2(capsys):
+    assert_rejected(capsys, ["no-such-scenario"])
+    assert_rejected(capsys, [])
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["no-such-scenario"])
-    assert excinfo.value.code == 2
+        cli.main(["pa", "--help"])
+    assert excinfo.value.code == 0
+    assert "--samples" in capsys.readouterr().out
 
 
 def test_invalid_configuration_exits_2(tmp_path, capsys):
-    code = cli.main(["pa", "--k", "2", "--exact", "--out", str(tmp_path / "r.json")])
-    assert code == 2
-    assert "invalid configuration" in capsys.readouterr().err
+    # argparse usage errors take the one-line path of configuration errors
+    out = ["--out", str(tmp_path / "r.json")]
+    assert_rejected(capsys, ["pa", "--exact", *out])
+    assert_rejected(capsys, ["compex", "--exact", *out])
+    assert_rejected(capsys, ["compex", "--bogus", *out])
+    assert_rejected(capsys, ["pa", "--n", "x", *out])
+    assert_rejected(capsys, ["pa", *config_file(tmp_path, {"exact": True})])
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.out").exists()
 
 
 def test_enumeration_cap_exits_3(tmp_path, capsys):
@@ -115,6 +126,31 @@ def test_enumeration_cap_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "enumeration cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        ("pa --n 40", "affine-gf2"),
+        ("pa --n 20", "affine-gf2"),
+        ("pa --n 20 --family uniform-all", "uniform-all"),
+        ("pa --n 40 --family uniform-all", "uniform-all"),
+        ("bound-sweep --n 40 --family affine-gf2", "affine-gf2"),
+        ("bound-sweep --n 40 --family uniform-all", "uniform-all"),
+        ("bound-sweep --n 40", "uniform-balanced"),
+        ("bound-sweep --n 40 --family inner-product", "inner-product"),
+    ],
+)
+def test_cap_is_checked_before_any_state_is_built(tmp_path, capsys, monkeypatch, argv, kind):
+    def no_states(*args, **kwargs):
+        raise AssertionError("random_state_family called past the enumeration cap")
+
+    monkeypatch.setattr(cli, "random_state_family", no_states)
+    assert cli.main([*argv.split(), "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == (
+        f"enumeration cap exceeded: {kind} family has more than 65536 members, "
+        "the exact-enumeration cap\n"
+    )
 
 
 def test_unsatisfied_report_exits_1(tmp_path, monkeypatch):
@@ -178,15 +214,9 @@ def test_scenario_keys_a_scenario_does_not_read_exit_2(tmp_path, capsys):
     assert_rejected(capsys, ["appendix-verify", "--samples", "3", *out])
     assert_rejected(capsys, ["helstrom-demo", *config_file(tmp_path, {"n": 3})])
     assert_rejected(capsys, ["pa", *config_file(tmp_path, {"dim": 2})])
-    # only pa reads exact
-    assert cli.main(["compex", "--exact", *out]) == 2
-    assert "compex does not read 'exact'" in capsys.readouterr().err
-    assert_rejected(capsys, ["bound-sweep", *config_file(tmp_path, {"exact": True})])
-    assert_rejected(capsys, ["appendix-verify", *config_file(tmp_path, {"exact": False})])
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.out").exists()
     # hashing-lemma reads an optional n that has no default
     assert cli.main(["hashing-lemma", "--n", "4", "--samples", "2", *out]) == 0
-    assert cli.main(["pa", "--exact", "--samples", "1", *out]) == 0
 
 
 def test_classical_lower_bound_needs_two_bits(tmp_path, capsys):

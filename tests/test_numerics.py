@@ -16,8 +16,8 @@ from guessbound.numerics import (
     schur_check,
     stirling_log_bounds,
     trace_norm,
-    trace_product,
 )
+from oracles import trace_product
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
