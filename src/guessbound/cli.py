@@ -25,12 +25,11 @@ import argparse
 import csv
 import datetime
 import functools
+import hashlib
 import io
-import itertools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -115,7 +114,7 @@ COMMON_DEFAULTS = {"seed": 1, "no_timestamp": False, "format": "json"}
 # Every key a --config file may set (the flag names) with its type and, for
 # integers, the inclusive range; None leaves that side open.
 CONFIG_FIELDS = {
-    "n": (int, 1, None),
+    "n": (int, 1, 64),  # families build 2**n before the cap check; 64 covers all under it
     "s": (int, 0, None),
     "k": (int, 1, None),
     "dim": (int, 1, None),
@@ -331,7 +330,14 @@ def run_pa(config: dict) -> list[dict]:
             "bound": report.bound_value,
             "satisfied": report.satisfied,
             "vacuous": report.vacuous,
-            "encoding": encoding.to_json(),
+            "encoding": {  # how to rebuild the states, and a digest to check them by
+                "recipe": "random_state_family",
+                "dim": 2**s,
+                "domain": 2**n,
+                "purity": "pure",
+                "seed": [config["seed"], task],
+                "sha256": hashlib.sha256(encoding.states.tobytes()).hexdigest(),
+            },
         }
         if "sampled_lower_bound" in report.context:
             row["detail"] = f"sampled_lower_bound={report.context['sampled_lower_bound']!r}"
@@ -501,152 +507,9 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
-# JSON layout of a report: two-space indent at every level of nesting
-_INDENT = "  "
-# nests of more levels go through the generic path, so a list that contains
-# itself cannot keep the block check descending forever
-_MAX_BLOCK_RANK = 32
-
-
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, default=_json_default) + "\\n"``.
-
-    The text is the same byte for byte; only the work differs.  Dicts and
-    lists are walked recursively, but a list that is a rectangular nest of
-    finite, exact ``float``s (a state family's ``(domain, d, d, 2)`` array
-    after ``tolist()``) is written as one block: its leaves are formatted by
-    one ``map(float.__repr__, ...)`` and interleaved with separators that
-    depend only on the nest's shape and indent level.  The stdlib encoder
-    writes such a list one generator step per number.
-    """
-    parts: list[str] = []
-    _encode(value, 0, parts)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _scalar_text(value) -> str | None:
-    """JSON text of a str, None, bool, int or float as the stdlib writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
-def _encode(value, level: int, parts: list[str]) -> None:
-    text = _scalar_text(value)
-    if text is not None:
-        parts.append(text)
-    elif isinstance(value, (list, tuple)):
-        _encode_array(value, level, parts)
-    elif isinstance(value, dict):
-        _encode_object(value, level, parts)
-    else:
-        _encode(_json_default(value), level, parts)
-
-
-def _encode_array(items, level: int, parts: list[str]) -> None:
-    if not items:
-        parts.append("[]")
-        return
-    block = _float_block(items, level) if type(items) is list else None
-    if block is not None:
-        parts.append(block)
-        return
-    newline = "\n" + _INDENT * (level + 1)
-    opening, separator = "[" + newline, "," + newline
-    for item in items:
-        parts.append(opening)
-        opening = separator
-        _encode(item, level + 1, parts)
-    parts.append("\n" + _INDENT * level + "]")
-
-
-def _encode_object(mapping: dict, level: int, parts: list[str]) -> None:
-    if not mapping:
-        parts.append("{}")
-        return
-    newline = "\n" + _INDENT * (level + 1)
-    opening, separator = "{" + newline, "," + newline
-    for key, value in sorted(mapping.items()):
-        text = _scalar_text(key)
-        if text is None:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        if not isinstance(key, str):
-            text = '"' + text + '"'
-        parts.append(opening + text + ": ")
-        opening = separator
-        _encode(value, level + 1, parts)
-    parts.append("\n" + _INDENT * level + "}")
-
-
-def _float_block(nest: list, level: int) -> str | None:
-    """JSON text of `nest` if it is a rectangular nest of finite exact floats."""
-    shape = [len(nest)]
-    leaves = nest
-    while (kinds := set(map(type, leaves))) != {float}:
-        if kinds != {list} or len(shape) == _MAX_BLOCK_RANK:
-            return None  # mixed, non-float, empty or too deep
-        lengths = set(map(len, leaves))
-        if len(lengths) != 1:
-            return None  # ragged
-        shape.append(lengths.pop())
-        leaves = list(itertools.chain.from_iterable(leaves))
-    if not all(map(math.isfinite, leaves)):
-        return None  # NaN and infinities are spelled out by _scalar_text
-    parts = [""] * (2 * len(leaves) + 1)
-    parts[0::2] = _block_separators(tuple(shape), level)
-    parts[1::2] = map(float.__repr__, leaves)
-    return "".join(parts)
-
-
-@functools.lru_cache(maxsize=256)
-def _block_separators(shape: tuple, level: int) -> tuple:
-    """Text around the leaves of a nested list of `shape` written at `level`.
-
-    Entry ``i`` precedes leaf ``i`` and the last entry follows the last leaf;
-    between two leaves it closes and reopens the lists the row-major index
-    carries over.  The entries are a few shared strings.
-    """
-    rank = len(shape)
-    newline = ["\n" + _INDENT * (level + depth) for depth in range(rank + 1)]
-
-    def closing(count):  # closes the `count` innermost lists
-        return "".join(newline[depth] + "]" for depth in range(rank - 1, rank - 1 - count, -1))
-
-    def opening(count):  # opens the `count` innermost lists
-        return "".join("[" + newline[depth + 1] for depth in range(rank - count, rank))
-
-    size = math.prod(shape)
-    separators = ["," + newline[rank]] * (size + 1)
-    stride = 1
-    for carried in range(1, rank):
-        stride *= shape[rank - carried]
-        text = closing(carried) + "," + newline[rank - carried] + opening(carried)
-        separators[stride:size:stride] = [text] * len(range(stride, size, stride))
-    separators[0] = opening(rank)
-    separators[size] = closing(rank)
-    return tuple(separators)
-
-
 def write_report(report: dict, fmt: str, out: str) -> None:
     if fmt == "json":
-        text = _json_text(report)
+        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     else:
         text = render_csv(report)
     if out == "-":
@@ -663,6 +526,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # each build costs ~1.5 ms and leaves hundreds of objects in cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="guessbound",

@@ -73,9 +73,6 @@ class FunctionTable:
     def __hash__(self) -> int:
         return hash((self.range_size, self.values.tobytes()))
 
-    def to_json(self) -> list[int]:
-        return [int(v) for v in self.values]
-
 
 def _parity_table(num_bits: int) -> np.ndarray:
     """table[a, x] = parity of a & x, the GF(2) inner product of two bit strings."""
@@ -139,9 +136,6 @@ class FunctionFamily:
             values.flags.writeable = False
             self._support = (weights, values)
         return self._support
-
-    def to_json(self, seed=None) -> dict:
-        return {"kind": self.kind, "params": self.params(), "seed": seed}
 
 
 def _uniform_weights(size: int) -> np.ndarray:
@@ -300,7 +294,7 @@ class ExplicitFamily(FunctionFamily):
 
     def params(self) -> dict:
         return {
-            "tables": [t.to_json() for t in self.tables],
+            "tables": [t.values.tolist() for t in self.tables],
             "range_size": self.range_size,
             "weights": [float(w) for w in self.weights.probs],
         }
@@ -330,7 +324,10 @@ class ComposedFamily(FunctionFamily):
         self.range_size = outer.range_size
 
     def params(self) -> dict:
-        return {"outer": self.outer.to_json(), "inner": self.inner.to_json()}
+        return {
+            "outer": {"kind": self.outer.kind, "params": self.outer.params(), "seed": None},
+            "inner": {"kind": self.inner.kind, "params": self.inner.params(), "seed": None},
+        }
 
     def support_size(self) -> int:
         return self.outer.support_size() * self.inner.support_size()

@@ -61,16 +61,6 @@ def _pure_states(vectors) -> np.ndarray:
     return psi[:, :, None] * psi.conj()[:, None, :]
 
 
-def _to_json(matrices) -> list:
-    """Complex matrices as nested lists of [re, im] pairs."""
-    return np.stack((matrices.real, matrices.imag), axis=-1).tolist()
-
-
-def _from_json(blob) -> np.ndarray:
-    arr = np.asarray(blob, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace operator."""
@@ -101,13 +91,6 @@ class DensityMatrix:
         m = 0.5 * (np.eye(2, dtype=complex) + v[0] * _PAULI_X + v[1] * _PAULI_Y + v[2] * _PAULI_Z)
         return cls(m)
 
-    def to_json(self) -> list:
-        return _to_json(self.matrix)
-
-    @classmethod
-    def from_json(cls, blob) -> "DensityMatrix":
-        return cls(_from_json(blob))
-
 
 @dataclass(frozen=True)
 class StateFamily:
@@ -129,20 +112,6 @@ class StateFamily:
     @property
     def domain_size(self) -> int:
         return self.prior.size
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "prior": [float(p) for p in self.prior.probs],
-            "states": _to_json(self.states),
-        }
-
-    @classmethod
-    def from_json(cls, blob) -> "StateFamily":
-        family = cls(Distribution(np.asarray(blob["prior"])), _from_json(blob["states"]))
-        if family.dim != blob["dim"]:
-            raise ValueError("serialized dimension does not match the states")
-        return family
 
 
 @dataclass(frozen=True)

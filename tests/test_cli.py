@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from guessbound import cli
+from guessbound.quantum import random_state_family
+from guessbound.rng import stream
 
 
 def run_cli(tmp_path, *argv):
@@ -87,13 +90,29 @@ def test_config_file_precedence(tmp_path):
     assert len(json.loads(out.read_text())["rows"]) == 2
 
 
-def test_pa_rows_include_serialized_encodings(tmp_path):
-    _, out = run_cli(tmp_path, "pa", "--samples", "1", "--no-timestamp")
-    report = json.loads(out.read_text())
-    encoding = report["rows"][0]["encoding"]
-    assert encoding["dim"] == 2
-    assert len(encoding["states"]) == 16
-    assert len(encoding["states"][0][0][0]) == 2  # [re, im] pairs
+def test_pa_encodings_rebuild_from_their_recipe(tmp_path):
+    _, out = run_cli(
+        tmp_path, "pa", "--n", "3", "--s", "2", "--samples", "2", "--seed", "5", "--no-timestamp"
+    )
+    encodings = [row["encoding"] for row in json.loads(out.read_text())["rows"][:-1]]
+    assert [e["seed"] for e in encodings] == [[5, 0], [5, 1]]
+    for encoding in encodings:
+        assert encoding["recipe"] == "random_state_family"
+        assert (encoding["dim"], encoding["domain"], encoding["purity"]) == (4, 8, "pure")
+        states = random_state_family(
+            encoding["dim"], encoding["domain"], encoding["purity"], stream(*encoding["seed"])
+        ).states
+        assert encoding["sha256"] == hashlib.sha256(states.tobytes()).hexdigest()
+    assert encodings[0]["sha256"] != encodings[1]["sha256"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--k", "2"], ["--n", "6", "--s", "2"]])
+def test_pa_rows_hold_no_states(tmp_path, extra):
+    _, out = run_cli(tmp_path, "pa", "--samples", "2", "--no-timestamp", *extra)
+    text = out.read_text()
+    assert '"states"' not in text
+    recipe_keys = {"recipe", "dim", "domain", "purity", "seed", "sha256"}
+    assert all(set(row.get("encoding", {})) <= recipe_keys for row in json.loads(text)["rows"])
 
 
 def test_unknown_scenario_exits_2(capsys):
@@ -106,6 +125,24 @@ def test_help_exits_0(capsys):
         cli.main(["pa", "--help"])
     assert excinfo.value.code == 0
     assert "--samples" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_parses_afresh(tmp_path, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    out = ["--out", str(tmp_path / "r.json")]
+    # a usage error leaves nothing behind for the next parse
+    assert_rejected(capsys, ["pa", "--n", "x", *out])
+    scenario, config = cli.resolve_config(parser.parse_args(["pa", "--samples", "2", *out]))
+    assert (scenario, config["n"], config["samples"]) == ("pa", 4, 2)
+    first = parser.parse_args(["pa", "--n", "3"])
+    second = parser.parse_args(["compex"])
+    assert first is not second and (first.n, second.n) == (3, None)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["compex", "--help"])
+    assert excinfo.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+    assert cli.resolve_config(parser.parse_args(["compex"]))[1]["samples"] == 200
 
 
 def test_invalid_configuration_exits_2(tmp_path, capsys):
@@ -226,3 +263,22 @@ def test_classical_lower_bound_needs_two_bits(tmp_path, capsys):
     assert not out.exists()
     assert cli.main(["classical-lower-bound", "--n", "2", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["rows"]) == 1
+
+
+def test_n_above_64_exits_2_before_any_family_is_built(tmp_path, capsys, monkeypatch):
+    out = ["--out", str(tmp_path / "r.json")]
+    assert cli.main(["pa", "--n", "64", *out]) == 3  # the largest n reaches the cap check
+    assert capsys.readouterr().err.startswith("enumeration cap exceeded: ")
+
+    def no_family(*args, **kwargs):
+        raise AssertionError("family built for an out-of-range n")
+
+    monkeypatch.setattr(cli, "hash_family", no_family)
+    monkeypatch.setattr(cli, "predicate_family", no_family)
+    assert cli.main(["pa", "--n", "100000000", *out]) == 2
+    assert capsys.readouterr().err == (
+        "invalid configuration: n must be at least 1 and at most 64, got 100000000\n"
+    )
+    assert_rejected(capsys, ["bound-sweep", "--n", "65", *out])
+    assert_rejected(capsys, ["pa", *config_file(tmp_path, {"n": 2**70})])
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.out").exists()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -184,8 +185,9 @@ def test_function_table_validation():
 
 def test_function_table_json_round_trip():
     t = FunctionTable(np.array([3, 0, 2, 1]), 4)
-    assert t.to_json() == [3, 0, 2, 1]
-    assert FunctionTable(np.array(t.to_json()), 4) == t
+    tables = ExplicitFamily([t]).params()["tables"]
+    assert tables == [[3, 0, 2, 1]] and type(tables[0][0]) is int
+    assert FunctionTable(np.array(tables[0]), 4) == t
 
 
 def test_enumerate_predicates_counts():
@@ -366,14 +368,13 @@ def test_collision_matrix_symmetry():
 
 def test_family_json_shapes():
     family = AffineFamily(3, 2)
-    blob = family.to_json(seed=9)
-    assert blob == {
-        "kind": "affine-gf2",
-        "params": {"input_bits": 3, "output_bits": 2},
-        "seed": 9,
-    }
+    assert family.params() == {"input_bits": 3, "output_bits": 2}
     composed = compose(BalancedPredicateFamily(4), family)
-    blob = composed.to_json()
-    assert blob["kind"] == "composed"
-    assert blob["params"]["inner"]["kind"] == "affine-gf2"
-    assert blob["params"]["outer"]["kind"] == "uniform-balanced"
+    assert composed.kind == "composed"
+    assert composed.params() == {
+        "inner": {"kind": "affine-gf2", "params": {"input_bits": 3, "output_bits": 2},
+                  "seed": None},
+        "outer": {"kind": "uniform-balanced", "params": BalancedPredicateFamily(4).params(),
+                  "seed": None},
+    }
+    assert json.loads(json.dumps(composed.params())) == composed.params()

@@ -82,20 +82,6 @@ def test_density_matrix_validation():
     assert purity(maximally_mixed(4)) == pytest.approx(0.25)
 
 
-def test_density_matrix_json_round_trip():
-    rho = DensityMatrix(random_state_family(3, 1, "mixed", 5).states[0])
-    again = DensityMatrix.from_json(rho.to_json())
-    assert np.abs(again.matrix - rho.matrix).max() <= 1e-12
-
-
-def test_state_family_json_round_trip():
-    family = tetrahedron_family()
-    blob = family.to_json()
-    assert blob["dim"] == 2 and len(blob["states"]) == 4
-    again = StateFamily.from_json(blob)
-    assert np.abs(again.states - family.states).max() <= 1e-12
-
-
 def test_povm_validation():
     eye = np.eye(2)
     with pytest.raises(ValueError, match="POVM elements must sum to the identity"):

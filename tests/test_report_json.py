@@ -1,4 +1,8 @@
-"""The report writer matches the stdlib JSON encoder byte for byte."""
+"""`write_report` writes JSON byte for byte as the stdlib encoder does.
+
+The layout is a contract: keys sorted, two spaces of indent, numpy scalars
+as plain JSON values, one trailing newline.
+"""
 
 import json
 import math
@@ -16,8 +20,13 @@ def stdlib_text(value):
     return json.dumps(value, indent=2, sort_keys=True, default=cli._json_default) + "\n"
 
 
-def assert_same_text(value):
-    assert cli._json_text(value) == stdlib_text(value)
+def written_text(value, capsys):
+    cli.write_report(value, "json", "-")
+    return capsys.readouterr().out
+
+
+def assert_same_text(value, capsys):
+    assert written_text(value, capsys) == stdlib_text(value)
 
 
 def scenario_report(argv):
@@ -36,8 +45,8 @@ SCENARIO_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", SCENARIO_ARGVS, ids=" ".join)
-def test_scenario_reports_match_stdlib(argv):
-    assert_same_text(scenario_report(argv))
+def test_scenario_reports_match_stdlib(argv, capsys):
+    assert_same_text(scenario_report(argv), capsys)
 
 
 def block(*leaves):
@@ -93,16 +102,16 @@ EDGE_CASES = {
 
 
 @pytest.mark.parametrize("value", EDGE_CASES.values(), ids=EDGE_CASES.keys())
-def test_edge_cases_match_stdlib(value):
-    assert_same_text(value)
+def test_edge_cases_match_stdlib(value, capsys):
+    assert_same_text(value, capsys)
 
 
 @pytest.mark.parametrize("value", [{(1, 2): 0.5}, [np.zeros(2)], {"a": object()}])
-def test_unencodable_values_raise_like_stdlib(value):
+def test_unencodable_values_raise_like_stdlib(value, capsys):
     with pytest.raises(TypeError):
         stdlib_text(value)
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        written_text(value, capsys)
 
 
 def test_write_report_writes_the_same_bytes_to_file_and_stdout(tmp_path, capsys):
