@@ -1,6 +1,6 @@
 """Batch experiment runner with reproducible JSON/CSV reports.
 
-Usage: ``guessbound SCENARIO [flags]`` (or ``guessbound run --scenario NAME``).
+Usage: ``guessbound SCENARIO [flags]``.
 
 Scenarios:
   compex                 one classical bit vs one qubit about a 2-bit string
@@ -30,6 +30,7 @@ import io
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,16 +72,6 @@ from .quantum import (
 )
 from .rng import stream
 
-SCENARIOS = (
-    "compex",
-    "classical-lower-bound",
-    "bound-sweep",
-    "hashing-lemma",
-    "pa",
-    "helstrom-demo",
-    "appendix-verify",
-)
-
 CSV_COLUMNS = (
     "scenario",
     "label",
@@ -97,35 +88,31 @@ CSV_COLUMNS = (
     "detail",
 )
 
-DEFAULTS = {
-    "compex": {"samples": 200},
-    "classical-lower-bound": {"n": 4},
-    "bound-sweep": {"n": 3, "dim": 2, "family": "uniform-balanced", "samples": 25},
-    "hashing-lemma": {"samples": 500},
-    "pa": {"n": 4, "s": 1, "k": 1, "family": "affine-gf2", "samples": 50},
-    "helstrom-demo": {"dim": 2, "samples": 1000},
-    "appendix-verify": {},
-}
-# scenario keys read without a default: hashing-lemma runs one alphabet of size n
-OPTIONAL_KEYS = {"hashing-lemma": ("n",)}
-# flags every scenario takes; DEFAULTS, then --config, then flags override them
-COMMON_DEFAULTS = {"seed": 1, "no_timestamp": False, "format": "json"}
 
-# Every key a --config file may set (the flag names) with its type and, for
-# integers, the inclusive range; None leaves that side open.
-CONFIG_FIELDS = {
-    "n": (int, 1, 64),  # families build 2**n before the cap check; 64 covers all under it
-    "s": (int, 0, None),
-    "k": (int, 1, None),
-    "dim": (int, 1, None),
-    "samples": (int, 1, None),
-    "seed": (int, 0, 2**64 - 1),
-    "family": (str, None, None),
-    "format": (str, None, None),
-    "out": (str, None, None),
-    "no_timestamp": (bool, None, None),
+class Field(NamedTuple):
+    kind: type
+    help: str
+    low: int | None = None  # inclusive range of an integer; None leaves that side open
+    high: int | None = None
+    choices: tuple | None = None  # the values a string may take; None allows any
+
+
+# Every key a flag or a --config file may set, in the order error messages list them.
+FIELDS = {
+    # families build 2**n before the cap check; 64 covers all under it
+    "n": Field(int, "string length in bits (or alphabet size)", 1, 64),
+    "s": Field(int, "storage size in bits/qubits", 0),
+    "k": Field(int, "hashed key length in bits", 1),
+    "dim": Field(int, "Hilbert dimension for random states", 1),
+    "samples": Field(int, "instances / trials per task", 1),
+    "seed": Field(int, "64-bit experiment seed (default 1)", 0, 2**64 - 1),
+    "family": Field(str, "function family kind"),
+    "format": Field(str, "report format (default json)", choices=("json", "csv")),
+    "out": Field(str, "output path, or - for stdout"),
+    "no_timestamp": Field(bool, "omit generated_at"),
 }
-FORMATS = ("json", "csv")
+# keys every scenario reads; a scenario's own keys and defaults are in SCENARIOS
+COMMON_DEFAULTS = {"seed": 1, "no_timestamp": False, "format": "json", "out": None}
 
 TETRA_VALUE = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -273,7 +260,7 @@ def run_bound_sweep(config: dict) -> list[dict]:
 
 
 def run_hashing_lemma(config: dict) -> list[dict]:
-    alphabets = (config["n"],) if config.get("n") else (2, 4, 6, 8, 16)
+    alphabets = (2, 4, 6, 8, 16) if config["n"] is None else (config["n"],)
     rows = []
     witness = balanced_predicate_bound(Distribution([0.5, 0.5, 0.0, 0.0]))
     rows.append(
@@ -310,6 +297,7 @@ def run_pa(config: dict) -> list[dict]:
     n, s, k = config["n"], config["s"], config["k"]
     hashes = hash_family(config["family"], n, k)
     hashes.check_cap()  # before building any 2^n-state encoding
+    storage = balanced_storage(n, s)  # refuses s >= n before any encoding is built
     rows = []
     for task in range(config["samples"]):
         encoding = random_state_family(2**s, 2**n, "pure", stream(config["seed"], task))
@@ -342,9 +330,7 @@ def run_pa(config: dict) -> list[dict]:
         if "sampled_lower_bound" in report.context:
             row["detail"] = f"sampled_lower_bound={report.context['sampled_lower_bound']!r}"
         rows.append(row)
-    classical = privacy_amplification_experiment(
-        balanced_storage(n, s), hashes, storage_bits=s
-    )
+    classical = privacy_amplification_experiment(storage, hashes, storage_bits=s)
     rows.append(
         {
             "label": "classical balanced storage",
@@ -459,19 +445,25 @@ def run_appendix_verify(config: dict) -> list[dict]:
     return rows
 
 
-RUNNERS = {
-    "compex": run_compex,
-    "classical-lower-bound": run_classical_lower_bound,
-    "bound-sweep": run_bound_sweep,
-    "hashing-lemma": run_hashing_lemma,
-    "pa": run_pa,
-    "helstrom-demo": run_helstrom_demo,
-    "appendix-verify": run_appendix_verify,
+# Each scenario's runner and the keys it reads, with their defaults; a --config
+# file overrides the defaults and flags override both.
+SCENARIOS = {
+    "compex": (run_compex, {"samples": 200}),
+    "classical-lower-bound": (run_classical_lower_bound, {"n": 4}),
+    "bound-sweep": (
+        run_bound_sweep,
+        {"n": 3, "dim": 2, "family": "uniform-balanced", "samples": 25},
+    ),
+    # n picks one alphabet; None runs the default set
+    "hashing-lemma": (run_hashing_lemma, {"samples": 500, "n": None}),
+    "pa": (run_pa, {"n": 4, "s": 1, "k": 1, "family": "affine-gf2", "samples": 50}),
+    "helstrom-demo": (run_helstrom_demo, {"dim": 2, "samples": 1000}),
+    "appendix-verify": (run_appendix_verify, {}),
 }
 
 
 def build_report(scenario: str, config: dict) -> dict:
-    rows = RUNNERS[scenario](config)
+    rows = SCENARIOS[scenario][0](config)
     report = {
         "schema": 1,
         "scenario": scenario,
@@ -534,50 +526,25 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="scenario_command", required=True)
-
-    def add_common(p):
-        p.add_argument("--n", type=int, help="string length in bits (or alphabet size)")
-        p.add_argument("--s", type=int, help="storage size in bits/qubits")
-        p.add_argument("--k", type=int, help="hashed key length in bits")
-        p.add_argument("--dim", type=int, help="Hilbert dimension for random states")
-        p.add_argument("--family", help="function family kind")
-        p.add_argument("--samples", type=int, help="instances / trials per task")
-        p.add_argument("--seed", type=int, help="64-bit experiment seed (default 1)")
-        p.add_argument("--format", choices=FORMATS)
-        p.add_argument("--out", help="output path, or - for stdout")
-        p.add_argument("--no-timestamp", action="store_true", default=None, help="omit generated_at")
-        p.add_argument("--config", help="JSON file with default flag values")
-
     for name in SCENARIOS:
-        add_common(sub.add_parser(name, help=f"run the {name} scenario"))
-    runner = sub.add_parser("run", help="run a scenario chosen by --scenario")
-    runner.add_argument("--scenario", required=True, choices=SCENARIOS)
-    add_common(runner)
+        # every scenario takes every flag, so an unread key gets the "does not
+        # read" message rather than an argparse prefix match
+        p = sub.add_parser(name, help=f"run the {name} scenario")
+        for key, field in FIELDS.items():
+            flag = "--" + key.replace("_", "-")
+            if field.kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=field.help)
+            else:
+                p.add_argument(flag, type=field.kind, choices=field.choices, help=field.help)
+        p.add_argument("--config", help="JSON file with default flag values")
     return parser
 
 
-def _validate_config(scenario: str, config: dict) -> None:
-    """Raise ValueError naming the first unknown, mistyped, out-of-range or unread key."""
-    scenario_keys = (*DEFAULTS[scenario], *OPTIONAL_KEYS.get(scenario, ()))
-    for key, value in config.items():
-        if key not in CONFIG_FIELDS:
-            raise ValueError(f"unknown key {key!r} (allowed: {', '.join(CONFIG_FIELDS)})")
-        if key not in COMMON_DEFAULTS and key != "out" and key not in scenario_keys:
-            reads = ", ".join(scenario_keys) or "none"
-            raise ValueError(f"{scenario} does not read {key!r} (its keys: {reads})")
-        kind, low, high = CONFIG_FIELDS[key]
-        if type(value) is not kind:  # unlike isinstance, rejects bools as integers
-            raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-        if (low is not None and value < low) or (high is not None and value > high):
-            upper = "" if high is None else f" and at most {high}"
-            raise ValueError(f"{key} must be at least {low}{upper}, got {value}")
-    if config["format"] not in FORMATS:
-        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {config['format']!r}")
-
-
 def resolve_config(args: argparse.Namespace) -> tuple[str, dict]:
-    scenario = getattr(args, "scenario", None) or args.scenario_command
-    config = {**COMMON_DEFAULTS, **DEFAULTS[scenario]}
+    """Merge defaults, --config and flags; raise ValueError on the first bad key."""
+    scenario = args.scenario_command
+    reads = SCENARIOS[scenario][1]
+    given = {}
     if args.config:
         try:
             with open(args.config) as handle:
@@ -586,27 +553,43 @@ def resolve_config(args: argparse.Namespace) -> tuple[str, dict]:
             raise ValueError(f"cannot read --config file: {error}") from error
         if not isinstance(loaded, dict):
             raise ValueError("the --config file must hold a JSON object")
-        config.update(loaded)
-    for key in CONFIG_FIELDS:
-        value = getattr(args, key)
-        if value is not None:
-            config[key] = value
-    _validate_config(scenario, config)
-    return scenario, config
+        given.update(loaded)
+    given.update((key, getattr(args, key)) for key in FIELDS if getattr(args, key) is not None)
+    # the defaults are trusted, so only the keys set by --config or flags are checked
+    for key, value in given.items():
+        if key not in FIELDS:
+            raise ValueError(f"unknown key {key!r} (allowed: {', '.join(FIELDS)})")
+        if key not in COMMON_DEFAULTS and key not in reads:
+            raise ValueError(
+                f"{scenario} does not read {key!r} (its keys: {', '.join(reads) or 'none'})"
+            )
+        field = FIELDS[key]
+        if type(value) is not field.kind:  # unlike isinstance, rejects bools as integers
+            raise ValueError(f"{key} must be of type {field.kind.__name__}, got {value!r}")
+        if field.choices and value not in field.choices:
+            raise ValueError(f"{key} must be one of {', '.join(field.choices)}, got {value!r}")
+        low, high = field.low, field.high
+        if (low is not None and value < low) or (high is not None and value > high):
+            upper = "" if high is None else f" and at most {high}"
+            raise ValueError(f"{key} must be at least {low}{upper}, got {value}")
+    return scenario, {**COMMON_DEFAULTS, **reads, **given}
 
 
 def main(argv=None) -> int:
     try:
         scenario, config = resolve_config(build_parser().parse_args(argv))
-        out = config.pop("out", None) or f"report.{config['format']}"
+        out = config.pop("out") or f"report.{config['format']}"
         report = build_report(scenario, config)
+        try:
+            write_report(report, config["format"], out)
+        except OSError as error:
+            raise ValueError(f"cannot write --out file: {error}") from error
     except EnumerationCapError as error:
         print(f"enumeration cap exceeded: {error}", file=sys.stderr)
         return 3
     except ValueError as error:
         print(f"invalid configuration: {error}", file=sys.stderr)
         return 2
-    write_report(report, config["format"], out)
     if out != "-":
         status = "satisfied" if report["all_satisfied"] else "NOT satisfied"
         print(f"{scenario}: {len(report['rows'])} rows, all checks {status} -> {out}")

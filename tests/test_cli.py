@@ -66,15 +66,6 @@ def test_timestamp_present_by_default(tmp_path):
     assert "generated_at" in json.loads(out.read_text())
 
 
-def test_run_alias_matches_subcommand(tmp_path):
-    _, direct = run_cli(tmp_path, "compex", "--samples", "5", "--no-timestamp")
-    blob = direct.read_bytes()
-    _, alias = run_cli(
-        tmp_path, "run", "--scenario", "compex", "--samples", "5", "--no-timestamp"
-    )
-    assert blob == alias.read_bytes()
-
-
 def test_config_file_precedence(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"samples": 2, "seed": 7}))
@@ -118,6 +109,7 @@ def test_pa_rows_hold_no_states(tmp_path, extra):
 def test_unknown_scenario_exits_2(capsys):
     assert_rejected(capsys, ["no-such-scenario"])
     assert_rejected(capsys, [])
+    assert_rejected(capsys, ["run", "--scenario", "compex"])
 
 
 def test_help_exits_0(capsys):
@@ -190,10 +182,30 @@ def test_cap_is_checked_before_any_state_is_built(tmp_path, capsys, monkeypatch,
     )
 
 
+@pytest.mark.parametrize("argv", [["pa", "--s", "4"], ["pa", "--n", "3", "--s", "5"]])
+def test_storage_above_n_exits_2_before_any_state_is_built(tmp_path, capsys, monkeypatch, argv):
+    def no_states(*args, **kwargs):
+        raise AssertionError("random_state_family called for s >= n")
+
+    monkeypatch.setattr(cli, "random_state_family", no_states)
+    assert_rejected(capsys, [*argv, "--out", str(tmp_path / "r.json")])
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert cli.main(["appendix-verify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: cannot write --out file: "), err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_unsatisfied_report_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setitem(
-        cli.RUNNERS, "compex", lambda config: [{"label": "forced", "satisfied": False}]
-    )
+    def forced(config):
+        return [{"label": "forced", "satisfied": False}]
+
+    monkeypatch.setitem(cli.SCENARIOS, "compex", (forced, cli.SCENARIOS["compex"][1]))
     code, out = run_cli(tmp_path, "compex", "--no-timestamp")
     assert code == 1
     assert json.loads(out.read_text())["all_satisfied"] is False
@@ -206,10 +218,10 @@ def test_stdout_output(capsys):
     assert json.loads(captured.out)["scenario"] == "appendix-verify"
 
 
-def assert_rejected(capsys, argv):
+def assert_rejected(capsys, argv, prefix="invalid configuration: "):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid configuration: ") and err.count("\n") == 1, err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 def config_file(tmp_path, contents):
@@ -281,4 +293,22 @@ def test_n_above_64_exits_2_before_any_family_is_built(tmp_path, capsys, monkeyp
     )
     assert_rejected(capsys, ["bound-sweep", "--n", "65", *out])
     assert_rejected(capsys, ["pa", *config_file(tmp_path, {"n": 2**70})])
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.out").exists()
+
+
+INTEGER_LOWER_BOUNDS = [
+    (key, field.low) for key, field in cli.FIELDS.items() if field.kind is int
+]
+
+
+@pytest.mark.parametrize("key, low", INTEGER_LOWER_BOUNDS)
+def test_integer_below_its_range_exits_2(tmp_path, capsys, key, low):
+    scenario = next(
+        name for name, (_, reads) in cli.SCENARIOS.items()
+        if key in reads or key in cli.COMMON_DEFAULTS
+    )
+    out = ["--out", str(tmp_path / "r.json")]
+    message = f"invalid configuration: {key} must be at least {low}"
+    assert_rejected(capsys, [scenario, f"--{key}", str(low - 1), *out], message)
+    assert_rejected(capsys, [scenario, *config_file(tmp_path, {key: low - 1})], message)
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.out").exists()
